@@ -26,7 +26,8 @@ int main() {
   }
 
   {
-    // Includes the MMPP fit (dominant cost) the first time per parameter set.
+    // Every iteration re-fits both streams' MMPP(2) (nothing is cached)
+    // before generating them.
     const auto params = workload::fujitsu_vdi_like(1'000);
     std::uint64_t seed = 1;
     harness.repeat("synthetic_trace/n=1000", /*items_per_iter=*/2'000, [&] {

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/stats.hpp"
-
 namespace src::workload {
 
 Mmpp2Generator::Mmpp2Generator(const Mmpp2Params& params, common::Rng rng)
@@ -35,16 +33,30 @@ double Mmpp2Generator::next_iat_us() {
   }
 }
 
-namespace {
-
-/// Empirical IAT SCV of a parameter set, deterministic for the seed.
-double empirical_scv(const Mmpp2Params& params, std::uint64_t seed,
-                     std::size_t samples = 100'000) {
-  Mmpp2Generator gen(params, common::Rng(seed));
-  common::RunningStats stats;
-  for (std::size_t i = 0; i < samples; ++i) stats.add(gen.next_iat_us());
-  return stats.scv();
+double mmpp2_iat_scv(const Mmpp2Params& params) {
+  // The inter-arrival time X is phase-type with sub-generator D0 = Q - Λ and
+  // start vector φ = πΛ / (πλ), so E[X^k] = k! φ M^k 1 with M = (-D0)^-1.
+  // Phase 0 is quiet, phase 1 is burst; -D0 = [[l0 + r0, -r0], [-r1, l1 + r1]].
+  const double l0 = params.rate_quiet;
+  const double l1 = params.rate_burst;
+  const double r0 = 1.0 / params.sojourn_quiet_s;  // quiet -> burst
+  const double r1 = 1.0 / params.sojourn_burst_s;  // burst -> quiet
+  const double pi1 = params.burst_fraction();
+  const double phi0 = (1.0 - pi1) * l0;  // unnormalised; cancels in the SCV
+  const double phi1 = pi1 * l1;
+  // det(-D0) expanded so that no r0 * r1 term cancels.
+  const double det = l0 * l1 + l0 * r1 + r0 * l1;
+  // u = M 1 and v = M u = M^2 1, using M = [[l1 + r1, r0], [r1, l0 + r0]] / det.
+  const double u0 = (l1 + r1 + r0) / det;
+  const double u1 = (r1 + l0 + r0) / det;
+  const double v0 = ((l1 + r1) * u0 + r0 * u1) / det;
+  const double v1 = (r1 * u0 + (l0 + r0) * u1) / det;
+  const double m1 = phi0 * u0 + phi1 * u1;
+  const double m2 = 2.0 * (phi0 * v0 + phi1 * v1);
+  return m2 * (phi0 + phi1) / (m1 * m1) - 1.0;
 }
+
+namespace {
 
 Mmpp2Params make_params(double mean_iat_us, double burst_rate_ratio,
                         double burst_fraction, double sojourn_scale_s) {
@@ -62,7 +74,7 @@ Mmpp2Params make_params(double mean_iat_us, double burst_rate_ratio,
 }  // namespace
 
 Mmpp2Params fit_mmpp2(double mean_iat_us, double target_scv,
-                      double burst_rate_ratio, std::uint64_t fit_seed) {
+                      double burst_rate_ratio) {
   const double mean_rate = 1e6 / mean_iat_us;
   if (target_scv <= 1.05) {
     // Poisson: both states identical.
@@ -74,8 +86,8 @@ Mmpp2Params fit_mmpp2(double mean_iat_us, double target_scv,
 
   constexpr double kBurstFraction = 0.2;
   // Sojourn scale is capped at ~1000 inter-arrivals so that the process
-  // mixes quickly: an empirical run of 1e5 samples then covers ~100 regime
-  // cycles and SCV estimates are stable. Higher targets are reached by
+  // mixes quickly: a trace of a few thousand requests then spans several
+  // regime cycles and shows the fitted SCV. Higher targets are reached by
   // escalating the burst-rate ratio instead of stretching the sojourns.
   const double lo_cap = mean_iat_us * 1e-6 * 2.0;
   const double hi_cap = mean_iat_us * 1e-6 * 1e3;
@@ -85,14 +97,14 @@ Mmpp2Params fit_mmpp2(double mean_iat_us, double target_scv,
     // hyper-exponential limit for this rate ratio; bisect on the scale.
     double lo = lo_cap;
     double hi = hi_cap;
-    if (empirical_scv(make_params(mean_iat_us, ratio, kBurstFraction, hi),
-                      fit_seed) < target_scv * 1.02) {
+    if (mmpp2_iat_scv(make_params(mean_iat_us, ratio, kBurstFraction, hi)) <
+        target_scv * 1.02) {
       continue;  // (near-)unreachable with this ratio; escalate burstiness
     }
     for (int iter = 0; iter < 30; ++iter) {
       const double mid = std::sqrt(lo * hi);  // geometric bisection
-      const double scv = empirical_scv(
-          make_params(mean_iat_us, ratio, kBurstFraction, mid), fit_seed);
+      const double scv =
+          mmpp2_iat_scv(make_params(mean_iat_us, ratio, kBurstFraction, mid));
       if (scv < target_scv) lo = mid; else hi = mid;
     }
     return make_params(mean_iat_us, ratio, kBurstFraction, std::sqrt(lo * hi));

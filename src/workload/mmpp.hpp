@@ -49,13 +49,19 @@ class Mmpp2Generator {
   double state_time_left_us_ = 0.0;
 };
 
-/// Fit an MMPP(2) whose inter-arrival times have the requested mean and
-/// (approximately) the requested SCV. scv >= 1; scv == 1 degenerates to a
-/// plain Poisson process. The fit bisects the sojourn time scale against
-/// the empirical SCV of a deterministic sample stream.
+/// Exact stationary SCV of the inter-arrival time of an MMPP(2). The
+/// inter-arrival time is phase-type (sub-generator D0 = Q - Λ, start vector
+/// φ = πΛ / (πλ)), so its moments E[X^k] = k! φ (-D0)^-k 1 have a 2x2
+/// closed form.
+double mmpp2_iat_scv(const Mmpp2Params& params);
+
+/// Moment-matched MMPP(2) fit: inter-arrival times have exactly the
+/// requested mean and (to bisection precision) the requested SCV. scv >= 1;
+/// scv <= 1.05 degenerates to a plain Poisson process. The fit bisects the
+/// sojourn time scale against `mmpp2_iat_scv`, escalating the burst-rate
+/// ratio when the target is out of reach at the sojourn cap.
 Mmpp2Params fit_mmpp2(double mean_iat_us, double target_scv,
-                      double burst_rate_ratio = 10.0,
-                      std::uint64_t fit_seed = 42);
+                      double burst_rate_ratio = 10.0);
 
 /// Per-stream parameters for synthetic trace generation.
 struct SyntheticStreamParams {

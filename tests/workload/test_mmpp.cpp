@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/stats.hpp"
 
 namespace src::workload {
@@ -42,20 +44,73 @@ TEST(Mmpp2Test, BurstyProcessHasHighScv) {
   EXPECT_GT(stats.scv(), 2.0);
 }
 
+double simulated_scv(const Mmpp2Params& params, std::uint64_t seed, int samples) {
+  Mmpp2Generator gen(params, common::Rng(seed));
+  common::RunningStats stats;
+  for (int i = 0; i < samples; ++i) stats.add(gen.next_iat_us());
+  return stats.scv();
+}
+
+TEST(Mmpp2IatScvTest, EqualRatesArePoisson) {
+  Mmpp2Params params;
+  params.rate_quiet = params.rate_burst = 75'000;
+  for (const double sojourn_s : {1e-6, 1e-3, 10.0}) {
+    params.sojourn_quiet_s = 3.0 * sojourn_s;
+    params.sojourn_burst_s = sojourn_s;
+    EXPECT_NEAR(mmpp2_iat_scv(params), 1.0, 1e-12) << "sojourn " << sojourn_s;
+  }
+}
+
+TEST(Mmpp2IatScvTest, LongSojournsApproachHyperExponentialLimit) {
+  // With regimes that (almost) never switch between arrivals, the IAT is an
+  // H2 mixture: phase i with weight pi_i * l_i / mean_rate, rate l_i. At
+  // ratio 10 and burst fraction 0.2: SCV = 2 * 2.8 * 0.82 - 1 = 3.592.
+  Mmpp2Params params;
+  params.rate_quiet = 10'000;
+  params.rate_burst = 100'000;
+  params.sojourn_quiet_s = 0.8e6;
+  params.sojourn_burst_s = 0.2e6;
+  EXPECT_NEAR(mmpp2_iat_scv(params), 3.592, 1e-6);
+}
+
+TEST(Mmpp2IatScvTest, AgreesWithSimulation) {
+  std::vector<Mmpp2Params> cases(3);
+  cases[1].rate_quiet = 20'000;  // ratio 25, near-even regime split
+  cases[1].rate_burst = 500'000;
+  cases[1].sojourn_quiet_s = 0.4e-3;
+  cases[1].sojourn_burst_s = 0.3e-3;
+  cases[2] = fit_mmpp2(10.0, 6.0);
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const double exact = mmpp2_iat_scv(cases[i]);
+    EXPECT_GT(exact, 1.5) << "case " << i;
+    EXPECT_NEAR(simulated_scv(cases[i], 17 + i, 20'000'000), exact, exact * 0.01)
+        << "case " << i;
+  }
+}
+
 TEST(FitMmpp2Test, PoissonWhenScvIsOne) {
   const auto params = fit_mmpp2(10.0, 1.0);
   EXPECT_DOUBLE_EQ(params.rate_quiet, params.rate_burst);
   EXPECT_NEAR(params.mean_iat_us(), 10.0, 1e-9);
 }
 
+TEST(FitMmpp2Test, MatchesTargetMomentsExactly) {
+  for (double target : {2.0, 2.5, 6.0, 30.0}) {
+    const auto params = fit_mmpp2(10.0, target);
+    EXPECT_NEAR(params.mean_iat_us(), 10.0, 1e-9) << "target scv " << target;
+    EXPECT_NEAR(mmpp2_iat_scv(params), target, target * 1e-6)
+        << "target scv " << target;
+  }
+}
+
 TEST(FitMmpp2Test, HitsTargetScv) {
-  for (double target : {2.0, 4.0, 8.0}) {
+  for (double target : {2.0, 2.5, 4.0, 6.0, 8.0}) {
     const auto params = fit_mmpp2(10.0, target);
     Mmpp2Generator gen(params, common::Rng(99));
     common::RunningStats stats;
-    for (int i = 0; i < 200'000; ++i) stats.add(gen.next_iat_us());
-    EXPECT_NEAR(stats.mean(), 10.0, 1.0) << "target scv " << target;
-    EXPECT_NEAR(stats.scv(), target, target * 0.25) << "target scv " << target;
+    for (int i = 0; i < 2'000'000; ++i) stats.add(gen.next_iat_us());
+    EXPECT_NEAR(stats.mean(), 10.0, 0.1) << "target scv " << target;
+    EXPECT_NEAR(stats.scv(), target, target * 0.03) << "target scv " << target;
   }
 }
 

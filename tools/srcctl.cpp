@@ -4,6 +4,7 @@
 // unknown command) prints the generated listing, and every command accepts
 // `--help` for its own flags.
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -13,9 +14,11 @@
 #include <iostream>
 #include <iterator>
 #include <map>
+#include <set>
 #include <string>
 #include <sys/wait.h>
 #include <unistd.h>
+#include <utility>
 #include <vector>
 
 #include "chaos/campaign.hpp"
@@ -54,12 +57,15 @@ class Args {
       }
       token = token.substr(2);
       const auto eq = token.find('=');
+      std::string key = token.substr(0, eq);
+      valueless_.erase(key);  // the last occurrence of a flag wins
       if (eq != std::string::npos) {
-        values_[token.substr(0, eq)] = token.substr(eq + 1);
+        values_[key] = token.substr(eq + 1);
       } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        values_[token] = argv[++i];
+        values_[key] = argv[++i];
       } else {
-        values_[token] = "true";
+        values_[key] = "true";
+        valueless_.insert(std::move(key));
       }
     }
   }
@@ -68,19 +74,46 @@ class Args {
     const auto it = values_.find(key);
     return it == values_.end() ? fallback : it->second;
   }
+  /// Numeric flags must consume their whole token (`--iat 15x` is an
+  /// error, not 15); a malformed value exits 2 with a located message.
   double get_double(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stod(it->second);
+    double value = fallback;
+    if (!parse_number(key, value) || !std::isfinite(value)) {
+      reject(key, "a number");
+    }
+    return value;
   }
   std::uint64_t get_u64(const std::string& key, std::uint64_t fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stoull(it->second);
+    std::uint64_t value = fallback;
+    if (!parse_number(key, value)) reject(key, "a non-negative integer");
+    return value;
   }
   bool has(const std::string& key) const { return values_.count(key) > 0; }
   const std::vector<std::string>& positionals() const { return positionals_; }
 
  private:
+  /// Leaves `value` untouched when the flag is absent.
+  template <typename T>
+  bool parse_number(const std::string& key, T& value) const {
+    const auto it = values_.find(key);
+    if (it == values_.end()) return true;
+    if (valueless_.count(key) > 0) return false;
+    const std::string& text = it->second;
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    return ec == std::errc() && ptr == end;
+  }
+  [[noreturn]] void reject(const std::string& key, const char* expected) const {
+    const std::string got = valueless_.count(key) > 0
+                                ? std::string("no value")
+                                : "'" + values_.at(key) + "'";
+    std::fprintf(stderr, "srcctl: --%s: expected %s, got %s\n", key.c_str(),
+                 expected, got.c_str());
+    std::exit(2);
+  }
+
   std::map<std::string, std::string> values_;
+  std::set<std::string> valueless_;
   std::vector<std::string> positionals_;
 };
 
@@ -906,18 +939,10 @@ int cmd_benchcheck(const Args& args) {
                  baseline_path.c_str(), error.c_str());
     return 2;
   }
-  double tolerance = 0.1;
-  if (args.has("tolerance")) {
-    try {
-      tolerance = std::stod(args.get("tolerance", "0.1"));
-    } catch (const std::exception&) {
-      std::fprintf(stderr, "benchcheck: --tolerance wants a number\n");
-      return 2;
-    }
-    if (tolerance < 0.0) {
-      std::fprintf(stderr, "benchcheck: --tolerance must be >= 0\n");
-      return 2;
-    }
+  const double tolerance = args.get_double("tolerance", 0.1);
+  if (tolerance < 0.0) {
+    std::fprintf(stderr, "benchcheck: --tolerance must be >= 0\n");
+    return 2;
   }
   return run_file_checks(
       args, "benchcheck", [&baseline, tolerance](const std::string& path) {
@@ -950,18 +975,10 @@ int cmd_benchdiff(const Args& args) {
   }
   const std::string old_path = args.positionals()[0];
   const std::string new_path = args.positionals()[1];
-  double tolerance = 0.15;
-  if (args.has("tolerance")) {
-    try {
-      tolerance = std::stod(args.get("tolerance", "0.15"));
-    } catch (const std::exception&) {
-      std::fprintf(stderr, "benchdiff: --tolerance wants a number\n");
-      return 2;
-    }
-    if (tolerance < 0.0) {
-      std::fprintf(stderr, "benchdiff: --tolerance must be >= 0\n");
-      return 2;
-    }
+  const double tolerance = args.get_double("tolerance", 0.15);
+  if (tolerance < 0.0) {
+    std::fprintf(stderr, "benchdiff: --tolerance must be >= 0\n");
+    return 2;
   }
 
   obs::Json old_doc, new_doc;
