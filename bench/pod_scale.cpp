@@ -8,10 +8,10 @@
 // counts are lane-count invariant by construction (the bench asserts the
 // full result snapshot, not just the count), so `srcctl benchdiff` against
 // bench/baselines/BENCH_pod_scale.json is a pure host-throughput gate.
-// The committed baseline records this repo's capture box honestly; on a
-// single-CPU host the extra lanes cannot speed anything up and the
-// baseline shows exactly that — the gate exists to catch engine-level
-// cliffs, and multi-core speedups land in CI artifacts PR-over-PR.
+// The `windows` column is the lane engine's conservative window count
+// (also lane-count invariant) and `events/window` the work one barrier
+// round amortizes; both explain the Mev/s trend across lane counts. The
+// committed baseline names its capture box in DESIGN.md §14.4.
 //
 // `--reduced` shrinks the grammar to 16 hosts and divides the workload for
 // quick local smoke runs; CI runs the full sweep.
@@ -77,7 +77,8 @@ int main(int argc, char** argv) {
               reduced ? " (reduced)" : " (512-host grammar)");
   bench::Harness harness("pod_scale");
   common::TextTable table({"point", "lanes", "read Gbps", "Jain", "events",
-                           "cross-shard", "Mev/s"});
+                           "cross-shard", "windows", "events/window",
+                           "Mev/s"});
 
   int divergences = 0;
   for (const Point& point : points) {
@@ -98,10 +99,16 @@ int main(int argc, char** argv) {
                      common::fmt(result.read_fairness_index(), 4),
                      std::to_string(result.events_executed),
                      std::to_string(result.cross_shard_messages),
+                     std::to_string(result.windows),
+                     common::fmt(static_cast<double>(result.events_executed) /
+                                     static_cast<double>(result.windows),
+                                 1),
                      common::fmt(record.events_per_sec() / 1e6)});
-      // Lane-count invariance holds for the whole result, not just the
-      // event count; a divergence here is an engine bug, not noise.
-      const std::string snapshot = result.snapshot();
+      // Lane-count invariance holds for the whole result and the window
+      // sequence, not just the event count; a divergence here is an engine
+      // bug, not noise.
+      const std::string snapshot =
+          result.snapshot() + "windows " + std::to_string(result.windows);
       if (baseline_snapshot.empty()) {
         baseline_snapshot = snapshot;
       } else if (snapshot != baseline_snapshot) {

@@ -206,6 +206,7 @@ PodExperimentResult run_pod_experiment(const PodExperimentConfig& config) {
   result.total_pauses = network.total_host_pauses();
   result.events_executed = lanes.executed_events();
   result.cross_shard_messages = lanes.cross_shard_messages();
+  result.windows = lanes.windows_executed();
   result.completed = all_done;
   result.end_time = lanes.now();
 
@@ -215,6 +216,7 @@ PodExperimentResult run_pod_experiment(const PodExperimentConfig& config) {
                 static_cast<double>(result.total_pauses));
   SRC_OBS_GAUGE("core.pod.end_time_ms",
                 common::to_milliseconds(result.end_time));
+  SRC_OBS_GAUGE("core.pod.windows", static_cast<double>(result.windows));
   return result;
 }
 

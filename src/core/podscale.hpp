@@ -65,6 +65,9 @@ struct PodExperimentResult {
   std::uint64_t total_pauses = 0;
   std::uint64_t events_executed = 0;
   std::uint64_t cross_shard_messages = 0;
+  /// Lane-engine windows executed. Lane-count invariant like the rest, but
+  /// engine telemetry rather than a model outcome, so snapshot() omits it.
+  std::uint64_t windows = 0;
   bool completed = false;
   common::SimTime end_time = 0;
 

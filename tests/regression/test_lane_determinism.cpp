@@ -56,15 +56,21 @@ TEST(LaneDeterminism, Table4ReducedIsLaneCountInvariant) {
 }
 
 TEST(LaneDeterminism, PodIncastSnapshotIsLaneCountInvariantAndPinned) {
-  auto snapshot_at = [](std::size_t lanes) {
+  auto run_at = [](std::size_t lanes) {
     scenario::ScenarioSpec spec = scenario::preset_spec("pod-incast-reduced");
     spec.lanes = lanes;
-    return scenario::run_pod(spec).snapshot();
+    return scenario::run_pod(spec);
   };
-  const std::string one = snapshot_at(1);
+  const core::PodExperimentResult serial = run_at(1);
+  const std::string one = serial.snapshot();
+  EXPECT_GT(serial.windows, 0u);
   for (const std::size_t lanes : {2u, 4u}) {
-    EXPECT_EQ(snapshot_at(lanes), one)
+    const core::PodExperimentResult result = run_at(lanes);
+    EXPECT_EQ(result.snapshot(), one)
         << "pod-incast-reduced drifted at lanes=" << lanes;
+    // The window sequence is a function of the simulated timeline only.
+    EXPECT_EQ(result.windows, serial.windows)
+        << "pod-incast-reduced window count drifted at lanes=" << lanes;
   }
 
   // Golden pin (text, integer-only): regenerate with SRC_UPDATE_GOLDEN=1.

@@ -1,6 +1,7 @@
 // LaneGroup: the conservative sharded event engine (DESIGN.md §14). These
 // run under `-L unit`, which the tsan CI job executes — the multi-lane
-// cases double as the cross-lane mailbox data-race check.
+// cases double as the cross-lane mailbox and shard-migration data-race
+// check.
 #include "sim/lane.hpp"
 
 #include <gtest/gtest.h>
@@ -117,20 +118,23 @@ TEST(LaneGroupTest, CrossShardPingPong) {
 
 // run_until leaves all lanes quiescent: the caller may inspect and mutate
 // shard state between calls, and events exactly at the deadline execute.
+// Each shard logs to its own vector: shards 0 and 1 run on different lanes
+// in the same window.
 TEST(LaneGroupTest, RunUntilIsInclusiveAndResumable) {
   LaneGroup lanes(2, 2);
   lanes.set_lookahead(10);
-  std::vector<SimTime> fired;
+  std::vector<SimTime> fired[2];
   for (const SimTime t : {5, 50, 55}) {
-    lanes.kernel(1).schedule_at(t, [&fired, t] { fired.push_back(t); });
+    lanes.kernel(1).schedule_at(t, [&fired, t] { fired[1].push_back(t); });
   }
   lanes.run_until(50);
-  EXPECT_EQ(fired, (std::vector<SimTime>{5, 50}));
+  EXPECT_EQ(fired[1], (std::vector<SimTime>{5, 50}));
   EXPECT_FALSE(lanes.drained());
   // Quiescent gap: schedule more work, then resume.
-  lanes.kernel(0).schedule_at(52, [&fired] { fired.push_back(52); });
+  lanes.kernel(0).schedule_at(52, [&fired] { fired[0].push_back(52); });
   lanes.run_until(100);
-  EXPECT_EQ(fired, (std::vector<SimTime>{5, 50, 52, 55}));
+  EXPECT_EQ(fired[0], (std::vector<SimTime>{52}));
+  EXPECT_EQ(fired[1], (std::vector<SimTime>{5, 50, 55}));
   EXPECT_TRUE(lanes.drained());
   EXPECT_EQ(lanes.now(), 100);
 }
@@ -173,6 +177,149 @@ TEST(LaneGroupTest, CirculatingTokensAreLaneCountInvariant) {
       EXPECT_EQ(sum, want_sum);
       EXPECT_EQ(lanes.executed_events(), want_events);
     }
+  }
+}
+
+// Skewed load: shards 0 and 12 run ten times the events of the others and
+// start on the same lane at every lane count > 1 (12 % {2, 3, 4} == 0).
+// Over hundreds of windows the event-count placement must split them, and
+// the execution must stay bit-identical while shards migrate.
+TEST(LaneGroupTest, SkewedLoadRebalancesWithoutChangingResults) {
+  constexpr std::size_t kShards = 13;
+  constexpr SimTime kHop = 5;
+  constexpr SimTime kEnd = 20000;
+  std::uint64_t want_digest = 0;
+  std::uint64_t want_windows = 0;
+  std::uint64_t want_events = 0;
+  for (const std::size_t lane_count : {1u, 2u, 3u, 4u}) {
+    LaneGroup lanes(kShards, lane_count);
+    lanes.set_lookahead(kHop);
+    std::vector<std::size_t> initial;
+    for (std::size_t s = 0; s < kShards; ++s) initial.push_back(lanes.lane_of(s));
+    // Per-shard order-sensitive digests, each written only by its shard.
+    std::vector<std::uint64_t> digest(kShards, 0);
+    auto fold = [&digest](std::size_t at, std::uint64_t value) {
+      digest[at] = digest[at] * 1099511628211ull ^ value;
+    };
+    std::function<void(std::size_t, std::uint64_t)> tick =
+        [&](std::size_t at, std::uint64_t value) {
+          Simulator& k = lanes.kernel(at);
+          fold(at, value + static_cast<std::uint64_t>(k.now()));
+          if (k.now() >= kEnd) return;
+          const bool heavy = at == 0 || at == 12;
+          k.schedule_in(heavy ? 1 : 10,
+                        [&tick, at, value] { tick(at, value + 1); });
+          if (value % 8 == 0) {
+            const std::size_t dst = (at + 1 + value % (kShards - 1)) % kShards;
+            lanes.post(at, dst, k.now() + kHop + static_cast<SimTime>(value % 3),
+                       Simulator::Callback([&fold, dst, value] {
+                         fold(dst, value);
+                       }));
+          }
+        };
+    for (std::size_t s = 0; s < kShards; ++s) {
+      lanes.kernel(s).schedule_at(0, [&tick, s] { tick(s, s); });
+    }
+    // Several run_until calls: placement persists across them.
+    for (SimTime deadline = kEnd / 4; deadline <= kEnd + kHop;
+         deadline += kEnd / 4) {
+      lanes.run_until(deadline);
+    }
+    lanes.run_until(2 * kEnd);
+    ASSERT_TRUE(lanes.drained());
+    std::uint64_t all = 0;
+    for (const std::uint64_t d : digest) all = all * 31 + d;
+    if (lane_count == 1) {
+      want_digest = all;
+      want_windows = lanes.windows_executed();
+      want_events = lanes.executed_events();
+      EXPECT_GT(want_windows, 1000u);
+      continue;
+    }
+    EXPECT_EQ(all, want_digest) << "lane_count=" << lane_count;
+    EXPECT_EQ(lanes.windows_executed(), want_windows)
+        << "lane_count=" << lane_count;
+    EXPECT_EQ(lanes.executed_events(), want_events)
+        << "lane_count=" << lane_count;
+    std::vector<std::size_t> placed;
+    for (std::size_t s = 0; s < kShards; ++s) placed.push_back(lanes.lane_of(s));
+    EXPECT_NE(placed, initial) << "lane_count=" << lane_count;
+    EXPECT_NE(lanes.lane_of(0), lanes.lane_of(12))
+        << "lane_count=" << lane_count;
+  }
+}
+
+// Mail posted in the last window before the deadline lands beyond it; it
+// must already sit in the destination kernels when run_until returns, and
+// fire exactly once on the next call.
+TEST(LaneGroupTest, LastWindowMailIsDeliveredBeforeRunUntilReturns) {
+  for (const std::size_t lane_count : {1u, 2u, 3u, 4u}) {
+    LaneGroup lanes(4, lane_count);
+    lanes.set_lookahead(10);
+    std::vector<int> fired(4, 0);  // per destination shard
+    lanes.kernel(0).schedule_at(95, [&lanes, &fired] {
+      for (std::size_t dst = 1; dst < 4; ++dst) {
+        lanes.post(0, dst, 105,
+                   Simulator::Callback([&fired, dst] { ++fired[dst]; }));
+      }
+    });
+    lanes.run_until(100);
+    EXPECT_EQ(fired, (std::vector<int>{0, 0, 0, 0}));
+    for (std::size_t dst = 1; dst < 4; ++dst) {
+      EXPECT_EQ(lanes.kernel(dst).pending_events(), 1u)
+          << "dst=" << dst << " lane_count=" << lane_count;
+      EXPECT_EQ(lanes.kernel(dst).next_event_time(), 105)
+          << "dst=" << dst << " lane_count=" << lane_count;
+    }
+    EXPECT_FALSE(lanes.drained());
+    lanes.run_until(200);
+    EXPECT_EQ(fired, (std::vector<int>{0, 1, 1, 1}))
+        << "lane_count=" << lane_count;
+    EXPECT_TRUE(lanes.drained());
+  }
+}
+
+// Cross-lane mailbox stress for tsan: 64 shards each bounce a token,
+// alternating between a ping-pong partner (s ^ 1) and a far shard, with
+// varying delays, for long enough that placement runs many times. The
+// checksums, event and window counts are lane-count invariant.
+TEST(LaneGroupTest, SixtyFourShardPingPongIsLaneCountInvariant) {
+  constexpr std::size_t kShards = 64;
+  constexpr SimTime kLookahead = 3;
+  std::vector<std::uint64_t> want_sums;
+  std::uint64_t want_events = 0;
+  std::uint64_t want_windows = 0;
+  for (const std::size_t lane_count : {1u, 2u, 3u, 4u}) {
+    LaneGroup lanes(kShards, lane_count);
+    lanes.set_lookahead(kLookahead);
+    std::vector<std::uint64_t> sums(kShards, 0);
+    std::function<void(std::size_t, int)> hop = [&](std::size_t at, int round) {
+      sums[at] = sums[at] * 3 + static_cast<std::uint64_t>(round + 1) * (at + 1);
+      if (round >= 300) return;
+      const std::size_t dst = round % 2 == 0 ? (at ^ 1u) : (at + 17) % kShards;
+      const SimTime delay =
+          kLookahead + static_cast<SimTime>((at + static_cast<std::size_t>(round)) % 4);
+      lanes.post(at, dst, lanes.kernel(at).now() + delay,
+                 Simulator::Callback([&hop, dst, round] { hop(dst, round + 1); }));
+    };
+    for (std::size_t s = 0; s < kShards; ++s) {
+      lanes.kernel(s).schedule_at(static_cast<SimTime>(s % 5),
+                                  [&hop, s] { hop(s, 0); });
+    }
+    lanes.run_until(common::kSecond);
+    EXPECT_TRUE(lanes.drained());
+    if (lane_count == 1) {
+      want_sums = sums;
+      want_events = lanes.executed_events();
+      want_windows = lanes.windows_executed();
+      EXPECT_EQ(lanes.cross_shard_messages(), kShards * 300u);
+      continue;
+    }
+    EXPECT_EQ(sums, want_sums) << "lane_count=" << lane_count;
+    EXPECT_EQ(lanes.executed_events(), want_events)
+        << "lane_count=" << lane_count;
+    EXPECT_EQ(lanes.windows_executed(), want_windows)
+        << "lane_count=" << lane_count;
   }
 }
 
