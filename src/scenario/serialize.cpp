@@ -1,10 +1,16 @@
 #include "scenario/serialize.hpp"
 
 #include <cmath>
+#include <concepts>
 #include <fstream>
+#include <initializer_list>
 #include <iterator>
+#include <limits>
+#include <map>
 #include <set>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
 
 #include "net/partition.hpp"
 #include "scenario/registry.hpp"
@@ -26,19 +32,198 @@ std::string fmt_number(double v) {
   return j.dump();
 }
 
+/// Bounds of a `number` field.
+enum class Range { kAny, kPositive, kNonNegative, kUnitInterval };
+
+// --- the two visitors --------------------------------------------------------
+//
+// Every spec struct has one `fields(io, s)` declaration below; ObjectReader
+// and ObjectWriter give the same field kinds their two meanings:
+//   count   integer, bounded below by `min` and above by its C++ type
+//   number  double within a Range
+//   flag    true/false
+//   text    string
+//   name    a registry name (validated both ways), or a value mapped to one
+//   time    SimTime: `<key>_ns` (native) or `<key>_us`/`<key>_ms` on input
+//   rate    Rate: `<key>_bytes_per_sec` (native) or `_gbps`/`_mbps` on input
+//   object  a nested struct (its own declaration) or an inline body
+//   array   a vector of structs
+// plus `check(ok, key, why)` for constraints within one block (reader only)
+// and `emit_if(cond)`, which guards fields the writer omits (the reader
+// always looks for them; absent keys keep the spec's defaults).
+
 /// Strict reader over one JSON object: every getter records the keys it
 /// touched and done() rejects whatever remains, so unknown (misspelled)
-/// keys can never be silently ignored. Getter defaults implement
-/// "manifest = preset + overrides": absent keys keep the spec's defaults.
+/// keys can never be silently ignored. Absent keys keep the spec's
+/// defaults, which implements "manifest = preset + overrides".
 class ObjectReader {
  public:
+  static constexpr bool kReads = true;
+
   ObjectReader(const Json& json, const std::string& file, std::string path)
       : file_(file), path_(std::move(path)) {
     if (!json.is_object()) fail_at(file_, path_, "expected an object");
     object_ = &json.as_object();
   }
 
-  const std::string& path() const { return path_; }
+  static bool emit_if(bool) { return true; }
+
+  bool has(const std::string& key) const { return find(key) != nullptr; }
+
+  /// `key` names the field to blame; a time or rate field is reported in
+  /// the spelling the manifest used (the native one when it is absent).
+  void check(bool ok, const std::string& key, const std::string& message) const {
+    if (ok) return;
+    const auto spelled = spelled_.find(key);
+    fail(spelled == spelled_.end() ? key : spelled->second, message);
+  }
+
+  template <std::integral T>
+  void count(const std::string& key, T& out, std::int64_t min = 0) {
+    const Json* value = take(key);
+    if (value == nullptr) return;
+    if (!value->is_number()) fail(key, "expected a number");
+    const double v = value->as_number();
+    constexpr bool kSigned = std::is_signed_v<T>;
+    // srclint:fp-ok(exactness check — floor(v)!=v rejects non-integral doubles)
+    if (v != std::floor(v) || std::abs(v) > kMaxExactInteger ||
+        (!kSigned && v < 0.0)) {
+      fail(key, std::string(kSigned ? "expected an integer"
+                                    : "expected a non-negative integer") +
+                    " (got " + fmt_number(v) + ")");
+    }
+    const auto n = static_cast<std::int64_t>(v);
+    if (n < min) {
+      fail(key, "must be >= " + std::to_string(min) + " (got " +
+                    std::to_string(n) + ")");
+    }
+    if (std::cmp_greater(n, std::numeric_limits<T>::max())) {
+      fail(key, "must be <= " + std::to_string(std::numeric_limits<T>::max()) +
+                    " (got " + std::to_string(n) + ")");
+    }
+    out = static_cast<T>(n);
+  }
+
+  void number(const std::string& key, double& out, Range range = Range::kAny) {
+    if (const Json* value = take(key)) {
+      if (!value->is_number()) fail(key, "expected a number");
+      out = value->as_number();
+    }
+    const double v = out;
+    const char* bound = nullptr;
+    switch (range) {
+      case Range::kAny: break;
+      case Range::kPositive: if (!(v > 0.0)) bound = "must be > 0"; break;
+      case Range::kNonNegative: if (!(v >= 0.0)) bound = "must be >= 0"; break;
+      case Range::kUnitInterval:
+        if (!(v >= 0.0 && v <= 1.0)) bound = "must be in [0, 1]";
+        break;
+    }
+    if (bound != nullptr) {
+      fail(key, std::string(bound) + " (got " + fmt_number(v) + ")");
+    }
+  }
+
+  void flag(const std::string& key, bool& out) {
+    const Json* value = take(key);
+    if (value == nullptr) return;
+    if (value->type() != Json::Type::kBool) fail(key, "expected true/false");
+    out = value->as_bool();
+  }
+
+  void text(const std::string& key, std::string& out) {
+    const Json* value = take(key);
+    if (value == nullptr) return;
+    if (!value->is_string()) fail(key, "expected a string");
+    out = value->as_string();
+  }
+
+  /// A name that must be registered in `registry`.
+  template <typename V>
+  void name(const std::string& key, std::string& out, const Registry<V>& registry) {
+    text(key, out);
+    resolve(key, [&] { registry.at(out); });
+  }
+
+  /// A value spelled as a name; `from_name` throws std::invalid_argument
+  /// (listing the known names) for an unknown one.
+  template <typename T, typename ToName, typename FromName>
+  void name(const std::string& key, T& out, ToName&&, FromName&& from_name) {
+    if (!has(key)) return;
+    std::string spelled;
+    text(key, spelled);
+    resolve(key, [&] { out = from_name(spelled); });
+  }
+
+  void time(const std::string& key, common::SimTime& out) {
+    const std::string& spelled =
+        spelling(key, {"_ns", "_us", "_ms"}, "give at most one of _ns/_us/_ms");
+    if (spelled == key + "_ns") {
+      count(spelled, out);
+      return;
+    }
+    double v = 0.0;
+    number(spelled, v, Range::kNonNegative);
+    const bool micro = spelled == key + "_us";
+    if (v * (micro ? 1e3 : 1e6) > kMaxExactInteger) {
+      fail(spelled, "must be <= 2^53 ns (got " + fmt_number(v) + ")");
+    }
+    out = micro ? common::microseconds(v) : common::milliseconds(v);
+  }
+
+  void rate(const std::string& key, common::Rate& out) {
+    const std::string& spelled =
+        spelling(key, {"_bytes_per_sec", "_gbps", "_mbps"},
+                 "give at most one of _bytes_per_sec/_gbps/_mbps");
+    const bool native = spelled == key + "_bytes_per_sec";
+    double v = native ? out.as_bytes_per_second() : 0.0;
+    number(spelled, v, Range::kNonNegative);
+    if (native) out = common::Rate::bytes_per_second(v);
+    else if (spelled == key + "_gbps") out = common::Rate::gbps(v);
+    else out = common::Rate::mbps(v);
+  }
+
+  /// A nested struct (read through its fields() declaration) or an inline
+  /// body taking the child reader.
+  template <typename T>
+  void object(const std::string& key, T&& out) {
+    const Json* value = take(key);
+    if (value == nullptr) return;
+    ObjectReader reader(*value, file_, child_path(key));
+    if constexpr (std::is_invocable_v<T&, ObjectReader&>) {
+      out(reader);
+    } else {
+      fields(reader, out);
+    }
+    reader.done();
+  }
+
+  /// An array of structs (absent = empty).
+  template <typename T>
+  void array(const std::string& key, std::vector<T>& out) {
+    const Json* value = take(key);
+    if (value == nullptr) return;
+    if (!value->is_array()) fail(key, "expected an array");
+    std::size_t index = 0;
+    for (const Json& element : value->as_array()) {
+      ObjectReader reader(element, file_,
+                          child_path(key) + "[" + std::to_string(index++) + "]");
+      T item;
+      fields(reader, item);
+      reader.done();
+      out.push_back(std::move(item));
+    }
+  }
+
+  /// Reject any key no getter consumed.
+  void done() const {
+    for (const auto& [k, v] : *object_) {
+      (void)v;
+      if (!consumed_.contains(k)) fail(k, "unknown key");
+    }
+  }
+
+ private:
   std::string child_path(const std::string& key) const {
     return path_ + "." + key;
   }
@@ -47,389 +232,442 @@ class ObjectReader {
     fail_at(file_, child_path(key), message);
   }
 
-  bool has(const std::string& key) const {
-    for (const auto& [k, v] : *object_) {
-      (void)v;
-      if (k == key) return true;
-    }
-    return false;
-  }
-
-  /// Consume `key`; nullptr when absent.
-  const Json* take(const std::string& key) {
-    consumed_.insert(key);
+  const Json* find(const std::string& key) const {
     for (const auto& [k, v] : *object_) {
       if (k == key) return &v;
     }
     return nullptr;
   }
 
-  double number(const std::string& key, double fallback) {
-    const Json* value = take(key);
-    if (value == nullptr) return fallback;
-    if (!value->is_number()) fail(key, "expected a number");
-    return value->as_number();
+  /// Consume `key`; nullptr when absent.
+  const Json* take(const std::string& key) {
+    consumed_.insert(key);
+    return find(key);
   }
 
-  double positive(const std::string& key, double fallback) {
-    const double v = number(key, fallback);
-    if (!(v > 0.0)) fail(key, "must be > 0 (got " + fmt_number(v) + ")");
-    return v;
-  }
-
-  double non_negative(const std::string& key, double fallback) {
-    const double v = number(key, fallback);
-    if (!(v >= 0.0)) fail(key, "must be >= 0 (got " + fmt_number(v) + ")");
-    return v;
-  }
-
-  double unit_interval(const std::string& key, double fallback) {
-    const double v = number(key, fallback);
-    if (!(v >= 0.0 && v <= 1.0)) {
-      fail(key, "must be in [0, 1] (got " + fmt_number(v) + ")");
+  /// The one suffix spelling of `key` present (the first, native, one when
+  /// none is), remembered for check().
+  const std::string& spelling(const std::string& key,
+                              std::initializer_list<const char*> suffixes,
+                              const std::string& ambiguous) {
+    std::string spelled = key + *suffixes.begin();
+    int given = 0;
+    for (const char* suffix : suffixes) {
+      if (!has(key + suffix)) continue;
+      if (++given > 1) {
+        fail(key + *suffixes.begin(), ambiguous + " for '" + key + "'");
+      }
+      spelled = key + suffix;
     }
-    return v;
+    return spelled_[key] = std::move(spelled);
   }
 
-  std::uint64_t u64(const std::string& key, std::uint64_t fallback,
-                    std::uint64_t min = 0) {
-    const Json* value = take(key);
-    if (value == nullptr) return fallback;
-    if (!value->is_number()) fail(key, "expected a number");
-    const double v = value->as_number();
-    // srclint:fp-ok(exactness check — floor(v)!=v rejects non-integral doubles)
-    if (!(v >= 0.0) || v != std::floor(v) || v > kMaxExactInteger) {
-      fail(key, "expected a non-negative integer (got " + fmt_number(v) + ")");
-    }
-    const auto out = static_cast<std::uint64_t>(v);
-    if (out < min) {
-      fail(key, "must be >= " + std::to_string(min) + " (got " +
-                    std::to_string(out) + ")");
-    }
-    return out;
-  }
-
-  std::int64_t i64(const std::string& key, std::int64_t fallback) {
-    const Json* value = take(key);
-    if (value == nullptr) return fallback;
-    if (!value->is_number()) fail(key, "expected a number");
-    const double v = value->as_number();
-    // srclint:fp-ok(exactness check — floor(v)!=v rejects non-integral doubles)
-    if (v != std::floor(v) || std::abs(v) > kMaxExactInteger) {
-      fail(key, "expected an integer (got " + fmt_number(v) + ")");
-    }
-    return static_cast<std::int64_t>(v);
-  }
-
-  bool boolean(const std::string& key, bool fallback) {
-    const Json* value = take(key);
-    if (value == nullptr) return fallback;
-    if (value->type() != Json::Type::kBool) fail(key, "expected true/false");
-    return value->as_bool();
-  }
-
-  std::string string(const std::string& key, std::string fallback) {
-    const Json* value = take(key);
-    if (value == nullptr) return fallback;
-    if (!value->is_string()) fail(key, "expected a string");
-    return value->as_string();
-  }
-
-  /// Simulation time: `<key>_ns` integer (native), or `<key>_us` /
-  /// `<key>_ms` doubles as authoring sugar. At most one spelling.
-  common::SimTime time(const std::string& key, common::SimTime fallback) {
-    const std::string ns_key = key + "_ns";
-    const std::string us_key = key + "_us";
-    const std::string ms_key = key + "_ms";
-    const int given = (has(ns_key) ? 1 : 0) + (has(us_key) ? 1 : 0) +
-                      (has(ms_key) ? 1 : 0);
-    if (given > 1) {
-      fail(ns_key, "give at most one of _ns/_us/_ms for '" + key + "'");
-    }
-    if (has(us_key)) {
-      return common::microseconds(non_negative(us_key, 0.0));
-    }
-    if (has(ms_key)) {
-      return common::milliseconds(non_negative(ms_key, 0.0));
-    }
-    const std::int64_t ns = i64(ns_key, fallback);
-    if (ns < 0) fail(ns_key, "must be >= 0 (got " + std::to_string(ns) + ")");
-    return ns;
-  }
-
-  /// Data rate: `<key>_bytes_per_sec` (native), or `<key>_gbps` /
-  /// `<key>_mbps` as authoring sugar. At most one spelling.
-  common::Rate rate(const std::string& key, common::Rate fallback) {
-    const std::string bps_key = key + "_bytes_per_sec";
-    const std::string gbps_key = key + "_gbps";
-    const std::string mbps_key = key + "_mbps";
-    const int given = (has(bps_key) ? 1 : 0) + (has(gbps_key) ? 1 : 0) +
-                      (has(mbps_key) ? 1 : 0);
-    if (given > 1) {
-      fail(bps_key, "give at most one of _bytes_per_sec/_gbps/_mbps for '" +
-                        key + "'");
-    }
-    if (has(gbps_key)) return common::Rate::gbps(non_negative(gbps_key, 0.0));
-    if (has(mbps_key)) return common::Rate::mbps(non_negative(mbps_key, 0.0));
-    return common::Rate::bytes_per_second(
-        non_negative(bps_key, fallback.as_bytes_per_second()));
-  }
-
-  /// Run `body(reader)` over the sub-object at `key` when present.
   template <typename F>
-  void object(const std::string& key, F&& body) {
-    const Json* value = take(key);
-    if (value == nullptr) return;
-    ObjectReader reader(*value, file_, child_path(key));
-    body(reader);
-    reader.done();
-  }
-
-  /// Iterate the array at `key` (absent = empty): body(element_reader, i).
-  template <typename F>
-  void array(const std::string& key, F&& body) {
-    const Json* value = take(key);
-    if (value == nullptr) return;
-    if (!value->is_array()) fail(key, "expected an array");
-    std::size_t index = 0;
-    for (const Json& element : value->as_array()) {
-      ObjectReader reader(element, file_,
-                          child_path(key) + "[" + std::to_string(index) + "]");
-      body(reader, index);
-      reader.done();
-      ++index;
+  void resolve(const std::string& key, F&& lookup) const {
+    try {
+      lookup();
+    } catch (const std::invalid_argument& err) {
+      fail(key, err.what());
     }
   }
 
-  /// Reject any key no getter consumed.
-  void done() const {
-    for (const auto& [k, v] : *object_) {
-      (void)v;
-      if (consumed_.contains(k)) continue;
-      // Alternate unit spellings are consumed via has() checks only.
-      fail_at(file_, child_path(k), "unknown key");
-    }
-  }
-
-  /// Mark a key as recognized without reading it through a getter (for the
-  /// alternate-unit spellings time()/rate() consume via number()).
-  void recognize(const std::string& key) { consumed_.insert(key); }
-
- private:
   const Json::Object* object_ = nullptr;
   const std::string& file_;
   std::string path_;
   std::set<std::string> consumed_;
+  std::map<std::string, std::string> spelled_;
 };
 
-// --- emitters ---------------------------------------------------------------
+/// Emits every declared field in declaration order and native spelling,
+/// skipping fields under a false emit_if(). Checks are the reader's.
+class ObjectWriter {
+ public:
+  static constexpr bool kReads = false;
 
-void put_time(Json& out, const std::string& key, common::SimTime t) {
-  out.set(key + "_ns", Json{static_cast<std::int64_t>(t)});
-}
+  static bool emit_if(bool keep) { return keep; }
+  static bool has(const std::string&) { return false; }
+  static void check(bool, const std::string&, const std::string&) {}
 
-void put_rate(Json& out, const std::string& key, common::Rate r) {
-  out.set(key + "_bytes_per_sec", Json{r.as_bytes_per_second()});
-}
-
-Json pod_to_json(const PodSpec& p) {
-  Json out{Json::Object{}};
-  out.set("pods", Json{static_cast<std::uint64_t>(p.pods)});
-  out.set("racks_per_pod", Json{static_cast<std::uint64_t>(p.racks_per_pod)});
-  out.set("hosts_per_rack", Json{static_cast<std::uint64_t>(p.hosts_per_rack)});
-  out.set("oversubscription", Json{p.oversubscription});
-  out.set("partition", Json{p.partition});
-  out.set("stripe_width", Json{static_cast<std::uint64_t>(p.stripe_width)});
-  put_rate(out, "host_rate", p.host_rate);
-  put_rate(out, "rack_uplink_rate", p.rack_uplink_rate);
-  put_rate(out, "spine_uplink_rate", p.spine_uplink_rate);
-  put_time(out, "host_link_delay", p.host_link_delay);
-  put_time(out, "rack_uplink_delay", p.rack_uplink_delay);
-  put_time(out, "spine_uplink_delay", p.spine_uplink_delay);
-  return out;
-}
-
-Json topology_to_json(const TopologySpec& t) {
-  Json out{Json::Object{}};
-  // "kind"/"pod" appear only for the pod family, keeping every existing
-  // star manifest and preset dump byte-stable.
-  if (t.kind != "star") out.set("kind", Json{t.kind});
-  out.set("initiators", Json{static_cast<std::uint64_t>(t.initiators)});
-  out.set("targets", Json{static_cast<std::uint64_t>(t.targets)});
-  out.set("devices_per_target",
-          Json{static_cast<std::uint64_t>(t.devices_per_target)});
-  put_rate(out, "link_rate", t.link_rate);
-  put_time(out, "link_delay", t.link_delay);
-  if (t.kind == "pod") out.set("pod", pod_to_json(t.pod));
-  return out;
-}
-
-Json net_to_json(const net::NetConfig& n) {
-  Json out{Json::Object{}};
-  out.set("mtu_bytes", Json{static_cast<std::uint64_t>(n.mtu_bytes)});
-  out.set("congestion_control", Json{cc_name(n.cc_algorithm)});
-  Json ecn{Json::Object{}};
-  ecn.set("enabled", Json{n.ecn.enabled});
-  ecn.set("kmin_bytes", Json{n.ecn.kmin_bytes});
-  ecn.set("kmax_bytes", Json{n.ecn.kmax_bytes});
-  ecn.set("pmax", Json{n.ecn.pmax});
-  out.set("ecn", std::move(ecn));
-  Json pfc{Json::Object{}};
-  pfc.set("enabled", Json{n.pfc.enabled});
-  pfc.set("xoff_bytes", Json{n.pfc.xoff_bytes});
-  pfc.set("xon_bytes", Json{n.pfc.xon_bytes});
-  out.set("pfc", std::move(pfc));
-  Json dcqcn{Json::Object{}};
-  dcqcn.set("enabled", Json{n.dcqcn.enabled});
-  dcqcn.set("g", Json{n.dcqcn.g});
-  put_time(dcqcn, "alpha_timer", n.dcqcn.alpha_timer);
-  put_time(dcqcn, "rate_timer", n.dcqcn.rate_timer);
-  dcqcn.set("byte_counter", Json{n.dcqcn.byte_counter});
-  dcqcn.set("fast_recovery_stages",
-            Json{static_cast<std::uint64_t>(n.dcqcn.fast_recovery_stages)});
-  put_rate(dcqcn, "rate_ai", n.dcqcn.rate_ai);
-  put_rate(dcqcn, "rate_hai", n.dcqcn.rate_hai);
-  put_rate(dcqcn, "min_rate", n.dcqcn.min_rate);
-  put_time(dcqcn, "cnp_interval", n.dcqcn.cnp_interval);
-  out.set("dcqcn", std::move(dcqcn));
-  Json dctcp{Json::Object{}};
-  dctcp.set("g", Json{n.dctcp.g});
-  put_time(dctcp, "observation_window", n.dctcp.observation_window);
-  put_rate(dctcp, "additive_increase", n.dctcp.additive_increase);
-  put_rate(dctcp, "min_rate", n.dctcp.min_rate);
-  out.set("dctcp", std::move(dctcp));
-  Json swift{Json::Object{}};
-  put_time(swift, "target_delay", n.swift.target_delay);
-  put_rate(swift, "additive_increase", n.swift.additive_increase);
-  swift.set("beta", Json{n.swift.beta});
-  swift.set("max_mdf", Json{n.swift.max_mdf});
-  put_rate(swift, "min_rate", n.swift.min_rate);
-  put_time(swift, "min_decrease_gap", n.swift.min_decrease_gap);
-  out.set("swift", std::move(swift));
-  Json cubic{Json::Object{}};
-  cubic.set("beta", Json{n.cubic.beta});
-  cubic.set("c_mbps_per_s3", Json{n.cubic.c_mbps_per_s3});
-  put_time(cubic, "growth_interval", n.cubic.growth_interval);
-  put_time(cubic, "post_cut_holdoff", n.cubic.post_cut_holdoff);
-  put_rate(cubic, "min_rate", n.cubic.min_rate);
-  out.set("cubic", std::move(cubic));
-  return out;
-}
-
-Json ssd_to_json(const ssd::SsdConfig& s) {
-  Json out{Json::Object{}};
-  out.set("name", Json{s.name});
-  out.set("queue_depth", Json{static_cast<std::uint64_t>(s.queue_depth)});
-  out.set("write_cache_bytes", Json{s.write_cache_bytes});
-  out.set("cmt_bytes", Json{s.cmt_bytes});
-  out.set("page_bytes", Json{s.page_bytes});
-  put_time(out, "read_latency", s.read_latency);
-  put_time(out, "write_latency", s.write_latency);
-  out.set("channels", Json{static_cast<std::uint64_t>(s.channels)});
-  out.set("chips_per_channel",
-          Json{static_cast<std::uint64_t>(s.chips_per_channel)});
-  put_rate(out, "channel_bandwidth", s.channel_bandwidth);
-  put_rate(out, "dram_bandwidth", s.dram_bandwidth);
-  out.set("capacity_bytes", Json{s.capacity_bytes});
-  out.set("mapping_entry_bytes", Json{s.mapping_entry_bytes});
-  put_time(out, "cmt_miss_penalty", s.cmt_miss_penalty);
-  put_time(out, "command_overhead", s.command_overhead);
-  out.set("cache_ack_watermark", Json{s.cache_ack_watermark});
-  out.set("drain_streams", Json{static_cast<std::uint64_t>(s.drain_streams)});
-  out.set("admission_window_ops", Json{s.admission_window_ops});
-  out.set("enable_gc", Json{s.enable_gc});
-  out.set("gc_overprovision", Json{s.gc_overprovision});
-  out.set("gc_pages_per_block",
-          Json{static_cast<std::uint64_t>(s.gc_pages_per_block)});
-  put_time(out, "erase_latency", s.erase_latency);
-  return out;
-}
-
-Json micro_stream_to_json(const workload::StreamParams& s) {
-  Json out{Json::Object{}};
-  out.set("mean_iat_us", Json{s.mean_iat_us});
-  out.set("mean_size_bytes", Json{s.mean_size_bytes});
-  out.set("count", Json{static_cast<std::uint64_t>(s.count)});
-  return out;
-}
-
-Json synthetic_stream_to_json(const workload::SyntheticStreamParams& s) {
-  Json out{Json::Object{}};
-  out.set("mean_iat_us", Json{s.mean_iat_us});
-  out.set("iat_scv", Json{s.iat_scv});
-  out.set("mean_size_bytes", Json{s.mean_size_bytes});
-  out.set("size_scv", Json{s.size_scv});
-  out.set("count", Json{static_cast<std::uint64_t>(s.count)});
-  return out;
-}
-
-Json workload_to_json(const WorkloadSpec& w) {
-  Json out{Json::Object{}};
-  out.set("kind", Json{w.kind});
-  out.set("seed_stride", Json{w.seed_stride});
-  if (w.kind == "micro") {
-    Json micro{Json::Object{}};
-    micro.set("read", micro_stream_to_json(w.micro.read));
-    micro.set("write", micro_stream_to_json(w.micro.write));
-    micro.set("lba_space_bytes", Json{w.micro.lba_space_bytes});
-    micro.set("align_bytes", Json{static_cast<std::uint64_t>(w.micro.align_bytes)});
-    micro.set("min_size_bytes",
-              Json{static_cast<std::uint64_t>(w.micro.min_size_bytes)});
-    micro.set("max_size_bytes",
-              Json{static_cast<std::uint64_t>(w.micro.max_size_bytes)});
-    micro.set("zipf_theta", Json{w.micro.zipf_theta});
-    out.set("micro", std::move(micro));
-  } else if (w.kind == "synthetic") {
-    Json synth{Json::Object{}};
-    synth.set("read", synthetic_stream_to_json(w.synthetic.read));
-    synth.set("write", synthetic_stream_to_json(w.synthetic.write));
-    synth.set("lba_space_bytes", Json{w.synthetic.lba_space_bytes});
-    synth.set("align_bytes",
-              Json{static_cast<std::uint64_t>(w.synthetic.align_bytes)});
-    synth.set("min_size_bytes",
-              Json{static_cast<std::uint64_t>(w.synthetic.min_size_bytes)});
-    synth.set("max_size_bytes",
-              Json{static_cast<std::uint64_t>(w.synthetic.max_size_bytes)});
-    out.set("synthetic", std::move(synth));
-  } else if (w.kind == "trace-file") {
-    Json trace{Json::Object{}};
-    trace.set("path", Json{w.trace_path});
-    out.set("trace-file", std::move(trace));
-  } else {
-    throw std::invalid_argument("scenario::to_json: unknown workload kind '" +
-                                w.kind + "'");
+  template <std::integral T>
+  void count(const std::string& key, T v, std::int64_t = 0) {
+    if constexpr (std::is_signed_v<T>) {
+      out.set(key, Json{static_cast<std::int64_t>(v)});
+    } else {
+      out.set(key, Json{static_cast<std::uint64_t>(v)});
+    }
   }
-  return out;
+  void number(const std::string& key, double v, Range = Range::kAny) {
+    out.set(key, Json{v});
+  }
+  void flag(const std::string& key, bool v) { out.set(key, Json{v}); }
+  void text(const std::string& key, const std::string& v) { out.set(key, Json{v}); }
+
+  /// Unregistered names throw std::invalid_argument: the document would
+  /// not parse back.
+  template <typename V>
+  void name(const std::string& key, const std::string& v, const Registry<V>& registry) {
+    registry.at(v);
+    text(key, v);
+  }
+  template <typename T, typename ToName, typename FromName>
+  void name(const std::string& key, const T& v, ToName&& to_name, FromName&&) {
+    text(key, to_name(v));
+  }
+
+  void time(const std::string& key, common::SimTime t) {
+    out.set(key + "_ns", Json{static_cast<std::int64_t>(t)});
+  }
+  void rate(const std::string& key, common::Rate r) {
+    out.set(key + "_bytes_per_sec", Json{r.as_bytes_per_second()});
+  }
+
+  template <typename T>
+  void object(const std::string& key, const T& v) {
+    out.set(key, emit(v));
+  }
+  template <typename T>
+  void array(const std::string& key, const std::vector<T>& v) {
+    Json list{Json::Array{}};
+    for (const T& element : v) list.push_back(emit(element));
+    out.set(key, std::move(list));
+  }
+
+  Json out{Json::Object{}};
+
+ private:
+  template <typename T>
+  static Json emit(const T& v) {
+    ObjectWriter writer;
+    if constexpr (std::is_invocable_v<const T&, ObjectWriter&>) {
+      v(writer);
+    } else {
+      fields(writer, v);
+    }
+    return std::move(writer.out);
+  }
+};
+
+// --- field declarations ------------------------------------------------------
+//
+// One line per field, in document order. `S` is const under the writer.
+
+template <typename S, typename T>
+concept Is = std::same_as<std::remove_const_t<S>, T>;
+
+template <typename Io, Is<PodSpec> S>
+void fields(Io& io, S& p) {
+  io.count("pods", p.pods, 1);
+  io.count("racks_per_pod", p.racks_per_pod, 1);
+  io.count("hosts_per_rack", p.hosts_per_rack, 1);
+  io.number("oversubscription", p.oversubscription, Range::kPositive);
+  io.text("partition", p.partition);
+  io.check(net::parse_partition_policy(p.partition).has_value(), "partition",
+           "unknown partition policy '" + p.partition +
+               "' (known: " + net::known_partition_policies() + ")");
+  io.count("stripe_width", p.stripe_width, 1);
+  io.rate("host_rate", p.host_rate);
+  io.check(!p.host_rate.is_zero(), "host_rate", "must be > 0");
+  // Zero uplink rates mean "derive from oversubscription".
+  io.rate("rack_uplink_rate", p.rack_uplink_rate);
+  io.rate("spine_uplink_rate", p.spine_uplink_rate);
+  io.time("host_link_delay", p.host_link_delay);
+  io.time("rack_uplink_delay", p.rack_uplink_delay);
+  io.time("spine_uplink_delay", p.spine_uplink_delay);
+  // Uplinks cross shard boundaries under every non-trivial partition; their
+  // propagation delay bounds the conservative lookahead, so zero is invalid.
+  const std::string lookahead =
+      "must be >= 1 under partition '" + p.partition +
+      "' (cross-shard delay bounds the conservative lookahead)";
+  const bool cut = p.partition != "none";
+  io.check(!cut || p.rack_uplink_delay >= 1, "rack_uplink_delay", lookahead);
+  io.check(!cut || p.spine_uplink_delay >= 1, "spine_uplink_delay", lookahead);
 }
 
-Json src_to_json(const SrcSpec& s) {
-  Json out{Json::Object{}};
-  out.set("enabled", Json{s.enabled});
-  Json params{Json::Object{}};
-  params.set("tau", Json{s.params.tau});
-  params.set("max_weight_ratio",
-             Json{static_cast<std::uint64_t>(s.params.max_weight_ratio)});
-  put_time(params, "min_adjust_interval", s.params.min_adjust_interval);
-  put_time(params, "prediction_window", s.params.prediction_window);
-  put_time(params, "staleness_window", s.params.staleness_window);
-  params.set("max_sane_throughput", Json{s.params.max_sane_throughput});
-  out.set("params", std::move(params));
-  Json tpm{Json::Object{}};
-  tpm.set("source", Json{s.tpm.source});
-  if (!s.tpm.path.empty()) tpm.set("path", Json{s.tpm.path});
-  tpm.set("train_seed", Json{s.tpm.train_seed});
-  out.set("tpm", std::move(tpm));
-  return out;
+template <typename Io, Is<TopologySpec> S>
+void fields(Io& io, S& t) {
+  // "kind" and "pod" appear only for the pod family, keeping every star
+  // manifest and preset dump byte-stable.
+  if (io.emit_if(t.kind != "star")) io.text("kind", t.kind);
+  io.check(t.kind == "star" || t.kind == "pod", "kind",
+           "unknown topology kind '" + t.kind + "' (known: pod, star)");
+  io.check(t.kind == "pod" || !io.has("pod"), "pod",
+           "payload does not match kind '" + t.kind + "'");
+  io.count("initiators", t.initiators, 1);
+  io.count("targets", t.targets, 1);
+  io.count("devices_per_target", t.devices_per_target, 1);
+  io.rate("link_rate", t.link_rate);
+  io.check(!t.link_rate.is_zero(), "link_rate", "must be > 0");
+  io.time("link_delay", t.link_delay);
+  if (io.emit_if(t.kind == "pod")) io.object("pod", t.pod);
 }
 
-Json retry_to_json(const fabric::RetryPolicy& r) {
-  Json out{Json::Object{}};
-  out.set("enabled", Json{r.enabled});
-  put_time(out, "base_timeout", r.base_timeout);
-  out.set("backoff_factor", Json{r.backoff_factor});
-  put_time(out, "max_timeout", r.max_timeout);
-  out.set("max_retries", Json{static_cast<std::uint64_t>(r.max_retries)});
-  return out;
+template <typename Io, Is<net::EcnConfig> S>
+void fields(Io& io, S& e) {
+  io.flag("enabled", e.enabled);
+  io.count("kmin_bytes", e.kmin_bytes);
+  io.count("kmax_bytes", e.kmax_bytes);
+  io.number("pmax", e.pmax, Range::kUnitInterval);
+  io.check(e.kmin_bytes <= e.kmax_bytes, "kmin_bytes", "must be <= kmax_bytes");
+}
+
+template <typename Io, Is<net::PfcConfig> S>
+void fields(Io& io, S& p) {
+  io.flag("enabled", p.enabled);
+  io.count("xoff_bytes", p.xoff_bytes);
+  io.count("xon_bytes", p.xon_bytes);
+  io.check(p.xon_bytes <= p.xoff_bytes, "xon_bytes", "must be <= xoff_bytes");
+}
+
+template <typename Io, Is<net::DcqcnParams> S>
+void fields(Io& io, S& d) {
+  io.flag("enabled", d.enabled);
+  io.number("g", d.g, Range::kUnitInterval);
+  io.time("alpha_timer", d.alpha_timer);
+  io.time("rate_timer", d.rate_timer);
+  io.count("byte_counter", d.byte_counter, 1);
+  io.count("fast_recovery_stages", d.fast_recovery_stages, 1);
+  io.rate("rate_ai", d.rate_ai);
+  io.rate("rate_hai", d.rate_hai);
+  io.rate("min_rate", d.min_rate);
+  io.time("cnp_interval", d.cnp_interval);
+}
+
+template <typename Io, Is<net::DctcpConfig> S>
+void fields(Io& io, S& d) {
+  io.number("g", d.g, Range::kUnitInterval);
+  io.time("observation_window", d.observation_window);
+  io.rate("additive_increase", d.additive_increase);
+  io.rate("min_rate", d.min_rate);
+}
+
+template <typename Io, Is<net::SwiftParams> S>
+void fields(Io& io, S& s) {
+  io.time("target_delay", s.target_delay);
+  io.rate("additive_increase", s.additive_increase);
+  io.number("beta", s.beta, Range::kUnitInterval);
+  io.number("max_mdf", s.max_mdf, Range::kUnitInterval);
+  io.rate("min_rate", s.min_rate);
+  io.time("min_decrease_gap", s.min_decrease_gap);
+}
+
+template <typename Io, Is<net::CubicParams> S>
+void fields(Io& io, S& c) {
+  io.number("beta", c.beta, Range::kUnitInterval);
+  io.number("c_mbps_per_s3", c.c_mbps_per_s3, Range::kPositive);
+  io.time("growth_interval", c.growth_interval);
+  io.time("post_cut_holdoff", c.post_cut_holdoff);
+  io.rate("min_rate", c.min_rate);
+}
+
+int cc_by_name(const std::string& name) {
+  return cc_registry().at(name).algorithm;
+}
+
+template <typename Io, Is<net::NetConfig> S>
+void fields(Io& io, S& n) {
+  io.count("mtu_bytes", n.mtu_bytes, 1);
+  io.name("congestion_control", n.cc_algorithm, cc_name, cc_by_name);
+  io.object("ecn", n.ecn);
+  io.object("pfc", n.pfc);
+  io.object("dcqcn", n.dcqcn);
+  io.object("dctcp", n.dctcp);
+  io.object("swift", n.swift);
+  io.object("cubic", n.cubic);
+}
+
+template <typename Io, Is<ssd::SsdConfig> S>
+void fields(Io& io, S& s) {
+  if constexpr (Io::kReads) {
+    // An optional preset base the fields below override; never written.
+    if (io.has("preset")) {
+      std::string preset;
+      io.name("preset", preset, ssd_registry());
+      s = ssd_registry().at(preset)();
+    }
+  }
+  io.text("name", s.name);
+  io.count("queue_depth", s.queue_depth, 1);
+  io.count("write_cache_bytes", s.write_cache_bytes);
+  io.count("cmt_bytes", s.cmt_bytes, 1);
+  io.count("page_bytes", s.page_bytes, 1);
+  io.time("read_latency", s.read_latency);
+  io.time("write_latency", s.write_latency);
+  io.count("channels", s.channels, 1);
+  io.count("chips_per_channel", s.chips_per_channel, 1);
+  io.rate("channel_bandwidth", s.channel_bandwidth);
+  io.rate("dram_bandwidth", s.dram_bandwidth);
+  io.count("capacity_bytes", s.capacity_bytes, 1);
+  io.count("mapping_entry_bytes", s.mapping_entry_bytes, 1);
+  io.time("cmt_miss_penalty", s.cmt_miss_penalty);
+  io.time("command_overhead", s.command_overhead);
+  io.number("cache_ack_watermark", s.cache_ack_watermark, Range::kUnitInterval);
+  io.count("drain_streams", s.drain_streams);
+  io.number("admission_window_ops", s.admission_window_ops, Range::kPositive);
+  io.flag("enable_gc", s.enable_gc);
+  io.number("gc_overprovision", s.gc_overprovision, Range::kUnitInterval);
+  io.count("gc_pages_per_block", s.gc_pages_per_block, 1);
+  io.time("erase_latency", s.erase_latency);
+}
+
+template <typename Io, Is<workload::StreamParams> S>
+void fields(Io& io, S& s) {
+  io.number("mean_iat_us", s.mean_iat_us, Range::kPositive);
+  io.number("mean_size_bytes", s.mean_size_bytes, Range::kPositive);
+  io.count("count", s.count);
+}
+
+template <typename Io, Is<workload::SyntheticStreamParams> S>
+void fields(Io& io, S& s) {
+  io.number("mean_iat_us", s.mean_iat_us, Range::kPositive);
+  io.number("iat_scv", s.iat_scv);
+  io.check(s.iat_scv >= 1.0, "iat_scv", "must be >= 1 (1 = Poisson)");
+  io.number("mean_size_bytes", s.mean_size_bytes, Range::kPositive);
+  io.number("size_scv", s.size_scv, Range::kNonNegative);
+  io.count("count", s.count);
+}
+
+/// The address-space and size-bounds fields micro and synthetic share.
+template <typename Io, typename S>
+void size_fields(Io& io, S& m) {
+  io.count("lba_space_bytes", m.lba_space_bytes, 1);
+  io.count("align_bytes", m.align_bytes, 1);
+  io.count("min_size_bytes", m.min_size_bytes, 1);
+  io.count("max_size_bytes", m.max_size_bytes, 1);
+  io.check(m.min_size_bytes <= m.max_size_bytes, "min_size_bytes",
+           "must be <= max_size_bytes");
+}
+
+template <typename Io, Is<workload::MicroParams> S>
+void fields(Io& io, S& m) {
+  io.object("read", m.read);
+  io.object("write", m.write);
+  size_fields(io, m);
+  io.number("zipf_theta", m.zipf_theta, Range::kNonNegative);
+}
+
+template <typename Io, Is<workload::SyntheticParams> S>
+void fields(Io& io, S& m) {
+  io.object("read", m.read);
+  io.object("write", m.write);
+  size_fields(io, m);
+}
+
+template <typename Io, Is<WorkloadSpec> S>
+void fields(Io& io, S& w) {
+  io.name("kind", w.kind, workload_registry());
+  io.count("seed_stride", w.seed_stride);
+  // Only the payload matching the kind may appear: a stray payload for
+  // another kind would be silently dead configuration.
+  for (const char* payload : {"micro", "synthetic", "trace-file"}) {
+    io.check(payload == w.kind || !io.has(payload), payload,
+             "payload does not match kind '" + w.kind + "'");
+  }
+  if (io.emit_if(w.kind == "micro")) io.object("micro", w.micro);
+  if (io.emit_if(w.kind == "synthetic")) io.object("synthetic", w.synthetic);
+  if (io.emit_if(w.kind == "trace-file")) {
+    io.object("trace-file", [&](auto& t) {
+      t.text("path", w.trace_path);
+      t.check(!w.trace_path.empty(), "path", "must not be empty");
+    });
+  }
+}
+
+template <typename Io, Is<InitiatorSpec> S>
+void fields(Io& io, S& i) {
+  if (io.emit_if(!i.cc.empty())) io.text("cc", i.cc);
+  io.check(i.cc.empty() || cc_registry().find(i.cc) != nullptr, "cc",
+           "unknown congestion controller '" + i.cc +
+               "' (known: " + cc_registry().known_list() + ")");
+}
+
+template <typename Io, Is<core::SrcParams> S>
+void fields(Io& io, S& p) {
+  io.number("tau", p.tau);
+  io.check(p.tau > 0.0 && p.tau < 1.0, "tau", "must be in (0, 1)");
+  io.count("max_weight_ratio", p.max_weight_ratio, 1);
+  io.time("min_adjust_interval", p.min_adjust_interval);
+  io.time("prediction_window", p.prediction_window);
+  io.check(p.prediction_window > 0, "prediction_window", "must be > 0");
+  io.time("staleness_window", p.staleness_window);
+  io.number("max_sane_throughput", p.max_sane_throughput, Range::kPositive);
+}
+
+template <typename Io, Is<TpmSpec> S>
+void fields(Io& io, S& t) {
+  io.name("source", t.source, tpm_registry());
+  if (io.emit_if(!t.path.empty())) io.text("path", t.path);
+  io.check(t.source != "file" || !t.path.empty(), "path",
+           "required when source is \"file\"");
+  io.count("train_seed", t.train_seed);
+}
+
+template <typename Io, Is<SrcSpec> S>
+void fields(Io& io, S& s) {
+  io.flag("enabled", s.enabled);
+  io.object("params", s.params);
+  io.object("tpm", s.tpm);
+}
+
+template <typename Io, Is<fabric::RetryPolicy> S>
+void fields(Io& io, S& r) {
+  io.flag("enabled", r.enabled);
+  io.time("base_timeout", r.base_timeout);
+  io.number("backoff_factor", r.backoff_factor);
+  io.check(r.backoff_factor >= 1.0, "backoff_factor", "must be >= 1");
+  io.time("max_timeout", r.max_timeout);
+  io.check(!r.enabled || (r.base_timeout > 0 && r.base_timeout <= r.max_timeout),
+           "base_timeout", "enabled retry needs 0 < base_timeout <= max_timeout");
+  io.count("max_retries", r.max_retries);
+}
+
+const char* const kBadWindow = "fault window must have start <= end";
+
+template <typename Io, Is<fault::PacketDropFault> S>
+void fields(Io& io, S& f) {
+  io.count("node", f.node);
+  io.count("port", f.port, -1);  // -1 = every port
+  io.time("start", f.start);
+  io.time("end", f.end);
+  io.check(f.start <= f.end, "start", kBadWindow);
+  io.number("probability", f.probability, Range::kUnitInterval);
+}
+
+template <typename Io, Is<fault::LinkDownFault> S>
+void fields(Io& io, S& f) {
+  io.count("node", f.node);
+  io.count("port", f.port);
+  io.time("down_at", f.down_at);
+  io.time("up_at", f.up_at);
+  io.check(f.down_at <= f.up_at, "down_at", kBadWindow);
+}
+
+template <typename Io, Is<fault::DeviceLatencyFault> S>
+void fields(Io& io, S& f) {
+  io.count("target", f.target);
+  io.count("device", f.device);
+  io.time("start", f.start);
+  io.time("end", f.end);
+  io.check(f.start <= f.end, "start", kBadWindow);
+  io.number("scale", f.scale, Range::kPositive);
+}
+
+template <typename Io, Is<fault::DeviceOutageFault> S>
+void fields(Io& io, S& f) {
+  io.count("target", f.target);
+  io.count("device", f.device);
+  io.time("offline_at", f.offline_at);
+  io.time("online_at", f.online_at);
+  io.check(f.offline_at <= f.online_at, "offline_at", kBadWindow);
+}
+
+template <typename Io, Is<fault::TransientErrorFault> S>
+void fields(Io& io, S& f) {
+  io.count("target", f.target);
+  io.count("device", f.device);
+  io.time("start", f.start);
+  io.time("end", f.end);
+  io.check(f.start <= f.end, "start", kBadWindow);
+  io.number("probability", f.probability, Range::kUnitInterval);
 }
 
 const char* tpm_fault_kind_name(fault::TpmFaultKind kind) {
@@ -442,155 +680,99 @@ const char* tpm_fault_kind_name(fault::TpmFaultKind kind) {
   return "nan";
 }
 
-Json faults_to_json(const fault::FaultPlan& plan) {
-  Json out{Json::Object{}};
-  out.set("seed", Json{plan.seed});
-  if (!plan.packet_drops.empty()) {
-    Json list{Json::Array{}};
-    for (const auto& f : plan.packet_drops) {
-      Json e{Json::Object{}};
-      e.set("node", Json{static_cast<std::uint64_t>(f.node)});
-      e.set("port", Json{static_cast<std::int64_t>(f.port)});
-      put_time(e, "start", f.start);
-      put_time(e, "end", f.end);
-      e.set("probability", Json{f.probability});
-      list.push_back(std::move(e));
-    }
-    out.set("packet_drops", std::move(list));
+fault::TpmFaultKind tpm_fault_kind(const std::string& name) {
+  for (const auto kind : {fault::TpmFaultKind::kNan, fault::TpmFaultKind::kInf,
+                          fault::TpmFaultKind::kNegative, fault::TpmFaultKind::kHuge}) {
+    if (name == tpm_fault_kind_name(kind)) return kind;
   }
-  if (!plan.link_downs.empty()) {
-    Json list{Json::Array{}};
-    for (const auto& f : plan.link_downs) {
-      Json e{Json::Object{}};
-      e.set("node", Json{static_cast<std::uint64_t>(f.node)});
-      e.set("port", Json{static_cast<std::uint64_t>(f.port)});
-      put_time(e, "down_at", f.down_at);
-      put_time(e, "up_at", f.up_at);
-      list.push_back(std::move(e));
-    }
-    out.set("link_downs", std::move(list));
-  }
-  if (!plan.latency_spikes.empty()) {
-    Json list{Json::Array{}};
-    for (const auto& f : plan.latency_spikes) {
-      Json e{Json::Object{}};
-      e.set("target", Json{static_cast<std::uint64_t>(f.target)});
-      e.set("device", Json{static_cast<std::uint64_t>(f.device)});
-      put_time(e, "start", f.start);
-      put_time(e, "end", f.end);
-      e.set("scale", Json{f.scale});
-      list.push_back(std::move(e));
-    }
-    out.set("latency_spikes", std::move(list));
-  }
-  if (!plan.outages.empty()) {
-    Json list{Json::Array{}};
-    for (const auto& f : plan.outages) {
-      Json e{Json::Object{}};
-      e.set("target", Json{static_cast<std::uint64_t>(f.target)});
-      e.set("device", Json{static_cast<std::uint64_t>(f.device)});
-      put_time(e, "offline_at", f.offline_at);
-      put_time(e, "online_at", f.online_at);
-      list.push_back(std::move(e));
-    }
-    out.set("outages", std::move(list));
-  }
-  if (!plan.transient_errors.empty()) {
-    Json list{Json::Array{}};
-    for (const auto& f : plan.transient_errors) {
-      Json e{Json::Object{}};
-      e.set("target", Json{static_cast<std::uint64_t>(f.target)});
-      e.set("device", Json{static_cast<std::uint64_t>(f.device)});
-      put_time(e, "start", f.start);
-      put_time(e, "end", f.end);
-      e.set("probability", Json{f.probability});
-      list.push_back(std::move(e));
-    }
-    out.set("transient_errors", std::move(list));
-  }
-  if (!plan.tpm_faults.empty()) {
-    Json list{Json::Array{}};
-    for (const auto& f : plan.tpm_faults) {
-      Json e{Json::Object{}};
-      e.set("controller", Json{static_cast<std::uint64_t>(f.controller)});
-      put_time(e, "start", f.start);
-      put_time(e, "end", f.end);
-      e.set("kind", Json{tpm_fault_kind_name(f.kind)});
-      list.push_back(std::move(e));
-    }
-    out.set("tpm_faults", std::move(list));
-  }
-  if (!plan.signal_losses.empty()) {
-    Json list{Json::Array{}};
-    for (const auto& f : plan.signal_losses) {
-      Json e{Json::Object{}};
-      e.set("target", Json{static_cast<std::uint64_t>(f.target)});
-      put_time(e, "start", f.start);
-      put_time(e, "end", f.end);
-      list.push_back(std::move(e));
-    }
-    out.set("signal_losses", std::move(list));
-  }
-  return out;
+  throw std::invalid_argument("unknown tpm fault kind '" + name +
+                              "' (known: nan, inf, negative, huge)");
 }
 
-// --- parsers ----------------------------------------------------------------
-
-void parse_pod(ObjectReader& r, PodSpec& p) {
-  p.pods = r.u64("pods", p.pods, 1);
-  p.racks_per_pod = r.u64("racks_per_pod", p.racks_per_pod, 1);
-  p.hosts_per_rack = r.u64("hosts_per_rack", p.hosts_per_rack, 1);
-  p.oversubscription = r.positive("oversubscription", p.oversubscription);
-  p.partition = r.string("partition", p.partition);
-  if (!net::parse_partition_policy(p.partition).has_value()) {
-    r.fail("partition", "unknown partition policy '" + p.partition +
-                            "' (known: " + net::known_partition_policies() +
-                            ")");
-  }
-  p.stripe_width = r.u64("stripe_width", p.stripe_width, 1);
-  p.host_rate = r.rate("host_rate", p.host_rate);
-  if (p.host_rate.is_zero()) r.fail("host_rate_bytes_per_sec", "must be > 0");
-  // Zero uplink rates mean "derive from oversubscription".
-  p.rack_uplink_rate = r.rate("rack_uplink_rate", p.rack_uplink_rate);
-  p.spine_uplink_rate = r.rate("spine_uplink_rate", p.spine_uplink_rate);
-  p.host_link_delay = r.time("host_link_delay", p.host_link_delay);
-  p.rack_uplink_delay = r.time("rack_uplink_delay", p.rack_uplink_delay);
-  p.spine_uplink_delay = r.time("spine_uplink_delay", p.spine_uplink_delay);
-  // Uplinks cross shard boundaries under every non-trivial partition; their
-  // propagation delay bounds the conservative lookahead, so zero is invalid.
-  if (p.partition != "none") {
-    if (p.rack_uplink_delay < 1) {
-      r.fail("rack_uplink_delay_ns",
-             "must be >= 1 under partition '" + p.partition +
-                 "' (cross-shard delay bounds the conservative lookahead)");
-    }
-    if (p.spine_uplink_delay < 1) {
-      r.fail("spine_uplink_delay_ns",
-             "must be >= 1 under partition '" + p.partition +
-                 "' (cross-shard delay bounds the conservative lookahead)");
-    }
-  }
+template <typename Io, Is<fault::TpmFault> S>
+void fields(Io& io, S& f) {
+  io.count("controller", f.controller);
+  io.time("start", f.start);
+  io.time("end", f.end);
+  io.check(f.start <= f.end, "start", kBadWindow);
+  io.name("kind", f.kind, tpm_fault_kind_name, tpm_fault_kind);
 }
 
-void parse_topology(ObjectReader& r, TopologySpec& t) {
-  t.kind = r.string("kind", t.kind);
-  if (t.kind != "star" && t.kind != "pod") {
-    r.fail("kind",
-           "unknown topology kind '" + t.kind + "' (known: pod, star)");
-  }
-  if (t.kind != "pod" && r.has("pod")) {
-    r.fail("pod", "payload does not match kind '" + t.kind + "'");
-  }
-  t.initiators = r.u64("initiators", t.initiators, 1);
-  t.targets = r.u64("targets", t.targets, 1);
-  t.devices_per_target = r.u64("devices_per_target", t.devices_per_target, 1);
-  t.link_rate = r.rate("link_rate", t.link_rate);
-  if (t.link_rate.is_zero()) {
-    r.fail("link_rate_bytes_per_sec", "must be > 0");
-  }
-  t.link_delay = r.time("link_delay", t.link_delay);
-  r.object("pod", [&](ObjectReader& p) { parse_pod(p, t.pod); });
+template <typename Io, Is<fault::SignalLossFault> S>
+void fields(Io& io, S& f) {
+  io.count("target", f.target);
+  io.time("start", f.start);
+  io.time("end", f.end);
+  io.check(f.start <= f.end, "start", kBadWindow);
 }
+
+template <typename Io, Is<fault::FaultPlan> S>
+void fields(Io& io, S& p) {
+  io.count("seed", p.seed);
+  if (io.emit_if(!p.packet_drops.empty())) io.array("packet_drops", p.packet_drops);
+  if (io.emit_if(!p.link_downs.empty())) io.array("link_downs", p.link_downs);
+  if (io.emit_if(!p.latency_spikes.empty())) {
+    io.array("latency_spikes", p.latency_spikes);
+  }
+  if (io.emit_if(!p.outages.empty())) io.array("outages", p.outages);
+  if (io.emit_if(!p.transient_errors.empty())) {
+    io.array("transient_errors", p.transient_errors);
+  }
+  if (io.emit_if(!p.tpm_faults.empty())) io.array("tpm_faults", p.tpm_faults);
+  if (io.emit_if(!p.signal_losses.empty())) io.array("signal_losses", p.signal_losses);
+}
+
+template <typename Io, Is<VerifySpec> S>
+void fields(Io& io, S& v) {
+  io.flag("enabled", v.enabled);
+  io.flag("io_accounting", v.io_accounting);
+  io.flag("driver_conservation", v.driver_conservation);
+  io.flag("ssq_tokens", v.ssq_tokens);
+  io.flag("retry_bound", v.retry_bound);
+  io.flag("overlap_order", v.overlap_order);
+  io.flag("monotone_time", v.monotone_time);
+  io.flag("liveness", v.liveness);
+  io.time("poll_interval", v.poll_interval);
+  io.check(v.poll_interval > 0, "poll_interval", "must be > 0");
+  io.time("liveness_grace", v.liveness_grace);
+  io.count("max_violations", v.max_violations, 1);
+}
+
+std::string one_or_per_initiator(std::size_t initiators, std::size_t entries) {
+  return "need exactly 1 entry (shared) or one per initiator (" +
+         std::to_string(initiators) + "), got " + std::to_string(entries);
+}
+
+template <typename Io, Is<ScenarioSpec> S>
+void fields(Io& io, S& s) {
+  io.text("name", s.name);
+  io.check(!s.name.empty(), "name", "must not be empty");
+  if (io.emit_if(!s.description.empty())) io.text("description", s.description);
+  io.count("seed", s.seed);
+  io.time("max_time", s.max_time);
+  io.check(s.max_time > 0, "max_time", "must be > 0");
+  // lanes == 0 (the classic engine) is omitted, keeping dumps byte-stable.
+  if (io.emit_if(s.lanes != 0)) io.count("lanes", s.lanes);
+  io.object("topology", s.topology);
+  io.object("net", s.net);
+  io.object("ssd", s.ssd);
+  io.name("driver", s.driver, driver_registry());
+  io.array("workloads", s.workloads);
+  io.check(!s.workloads.empty(), "workloads", "at least one workload is required");
+  io.check(s.workloads.size() == 1 || s.workloads.size() == s.topology.initiators,
+           "workloads",
+           one_or_per_initiator(s.topology.initiators, s.workloads.size()));
+  if (io.emit_if(!s.initiators.empty())) io.array("initiators", s.initiators);
+  io.check(s.initiators.size() <= 1 || s.initiators.size() == s.topology.initiators,
+           "initiators",
+           one_or_per_initiator(s.topology.initiators, s.initiators.size()));
+  io.object("src", s.src);
+  io.object("retry", s.retry);
+  if (io.emit_if(!s.faults.empty())) io.object("faults", s.faults);
+  if (io.emit_if(s.verify != VerifySpec{})) io.object("verify", s.verify);
+}
+
+// --- cross-block validation --------------------------------------------------
 
 // Cross-field validation for pod-kind scenarios, after every block parsed.
 // Errors carry `$.topology...` / `$.lanes` locations so a bad grammar fails
@@ -657,305 +839,6 @@ void validate_pod(const ScenarioSpec& spec, const std::string& file) {
     fail_at(file, "$.verify.enabled",
             "pod scenarios do not support runtime invariant verification");
   }
-}
-
-void parse_net(ObjectReader& r, net::NetConfig& n) {
-  n.mtu_bytes = static_cast<std::uint32_t>(r.u64("mtu_bytes", n.mtu_bytes, 1));
-  const std::string cc =
-      r.string("congestion_control", cc_name(n.cc_algorithm));
-  try {
-    n.cc_algorithm = cc_registry().at(cc).algorithm;
-  } catch (const std::invalid_argument& err) {
-    r.fail("congestion_control", err.what());
-  }
-  r.object("ecn", [&](ObjectReader& e) {
-    n.ecn.enabled = e.boolean("enabled", n.ecn.enabled);
-    n.ecn.kmin_bytes = e.u64("kmin_bytes", n.ecn.kmin_bytes);
-    n.ecn.kmax_bytes = e.u64("kmax_bytes", n.ecn.kmax_bytes);
-    n.ecn.pmax = e.unit_interval("pmax", n.ecn.pmax);
-    if (n.ecn.kmin_bytes > n.ecn.kmax_bytes) {
-      e.fail("kmin_bytes", "must be <= kmax_bytes");
-    }
-  });
-  r.object("pfc", [&](ObjectReader& p) {
-    n.pfc.enabled = p.boolean("enabled", n.pfc.enabled);
-    n.pfc.xoff_bytes = p.u64("xoff_bytes", n.pfc.xoff_bytes);
-    n.pfc.xon_bytes = p.u64("xon_bytes", n.pfc.xon_bytes);
-    if (n.pfc.xon_bytes > n.pfc.xoff_bytes) {
-      p.fail("xon_bytes", "must be <= xoff_bytes");
-    }
-  });
-  r.object("dcqcn", [&](ObjectReader& d) {
-    n.dcqcn.enabled = d.boolean("enabled", n.dcqcn.enabled);
-    n.dcqcn.g = d.unit_interval("g", n.dcqcn.g);
-    n.dcqcn.alpha_timer = d.time("alpha_timer", n.dcqcn.alpha_timer);
-    n.dcqcn.rate_timer = d.time("rate_timer", n.dcqcn.rate_timer);
-    n.dcqcn.byte_counter = d.u64("byte_counter", n.dcqcn.byte_counter, 1);
-    n.dcqcn.fast_recovery_stages = static_cast<std::uint32_t>(
-        d.u64("fast_recovery_stages", n.dcqcn.fast_recovery_stages, 1));
-    n.dcqcn.rate_ai = d.rate("rate_ai", n.dcqcn.rate_ai);
-    n.dcqcn.rate_hai = d.rate("rate_hai", n.dcqcn.rate_hai);
-    n.dcqcn.min_rate = d.rate("min_rate", n.dcqcn.min_rate);
-    n.dcqcn.cnp_interval = d.time("cnp_interval", n.dcqcn.cnp_interval);
-  });
-  r.object("dctcp", [&](ObjectReader& d) {
-    n.dctcp.g = d.unit_interval("g", n.dctcp.g);
-    n.dctcp.observation_window =
-        d.time("observation_window", n.dctcp.observation_window);
-    n.dctcp.additive_increase =
-        d.rate("additive_increase", n.dctcp.additive_increase);
-    n.dctcp.min_rate = d.rate("min_rate", n.dctcp.min_rate);
-  });
-  r.object("swift", [&](ObjectReader& s) {
-    n.swift.target_delay = s.time("target_delay", n.swift.target_delay);
-    n.swift.additive_increase =
-        s.rate("additive_increase", n.swift.additive_increase);
-    n.swift.beta = s.unit_interval("beta", n.swift.beta);
-    n.swift.max_mdf = s.unit_interval("max_mdf", n.swift.max_mdf);
-    n.swift.min_rate = s.rate("min_rate", n.swift.min_rate);
-    n.swift.min_decrease_gap =
-        s.time("min_decrease_gap", n.swift.min_decrease_gap);
-  });
-  r.object("cubic", [&](ObjectReader& c) {
-    n.cubic.beta = c.unit_interval("beta", n.cubic.beta);
-    n.cubic.c_mbps_per_s3 = c.positive("c_mbps_per_s3", n.cubic.c_mbps_per_s3);
-    n.cubic.growth_interval = c.time("growth_interval", n.cubic.growth_interval);
-    n.cubic.post_cut_holdoff =
-        c.time("post_cut_holdoff", n.cubic.post_cut_holdoff);
-    n.cubic.min_rate = c.rate("min_rate", n.cubic.min_rate);
-  });
-}
-
-void parse_ssd(ObjectReader& r, ssd::SsdConfig& s) {
-  // Optional preset base; individual fields override it.
-  if (r.has("preset")) {
-    const std::string preset = r.string("preset", "");
-    try {
-      s = ssd_registry().at(preset)();
-    } catch (const std::invalid_argument& err) {
-      r.fail("preset", err.what());
-    }
-  }
-  s.name = r.string("name", s.name);
-  s.queue_depth = static_cast<std::uint32_t>(r.u64("queue_depth", s.queue_depth, 1));
-  s.write_cache_bytes = r.u64("write_cache_bytes", s.write_cache_bytes);
-  s.cmt_bytes = r.u64("cmt_bytes", s.cmt_bytes, 1);
-  s.page_bytes = r.u64("page_bytes", s.page_bytes, 1);
-  s.read_latency = r.time("read_latency", s.read_latency);
-  s.write_latency = r.time("write_latency", s.write_latency);
-  s.channels = static_cast<std::uint32_t>(r.u64("channels", s.channels, 1));
-  s.chips_per_channel =
-      static_cast<std::uint32_t>(r.u64("chips_per_channel", s.chips_per_channel, 1));
-  s.channel_bandwidth = r.rate("channel_bandwidth", s.channel_bandwidth);
-  s.dram_bandwidth = r.rate("dram_bandwidth", s.dram_bandwidth);
-  s.capacity_bytes = r.u64("capacity_bytes", s.capacity_bytes, 1);
-  s.mapping_entry_bytes = r.u64("mapping_entry_bytes", s.mapping_entry_bytes, 1);
-  s.cmt_miss_penalty = r.time("cmt_miss_penalty", s.cmt_miss_penalty);
-  s.command_overhead = r.time("command_overhead", s.command_overhead);
-  s.cache_ack_watermark = r.unit_interval("cache_ack_watermark", s.cache_ack_watermark);
-  s.drain_streams = static_cast<std::uint32_t>(r.u64("drain_streams", s.drain_streams));
-  s.admission_window_ops = r.positive("admission_window_ops", s.admission_window_ops);
-  s.enable_gc = r.boolean("enable_gc", s.enable_gc);
-  s.gc_overprovision = r.unit_interval("gc_overprovision", s.gc_overprovision);
-  s.gc_pages_per_block =
-      static_cast<std::uint32_t>(r.u64("gc_pages_per_block", s.gc_pages_per_block, 1));
-  s.erase_latency = r.time("erase_latency", s.erase_latency);
-}
-
-void parse_micro_stream(ObjectReader& r, workload::StreamParams& s) {
-  s.mean_iat_us = r.positive("mean_iat_us", s.mean_iat_us);
-  s.mean_size_bytes = r.positive("mean_size_bytes", s.mean_size_bytes);
-  s.count = r.u64("count", s.count);
-}
-
-void parse_synthetic_stream(ObjectReader& r, workload::SyntheticStreamParams& s) {
-  s.mean_iat_us = r.positive("mean_iat_us", s.mean_iat_us);
-  s.iat_scv = r.number("iat_scv", s.iat_scv);
-  if (s.iat_scv < 1.0) r.fail("iat_scv", "must be >= 1 (1 = Poisson)");
-  s.mean_size_bytes = r.positive("mean_size_bytes", s.mean_size_bytes);
-  s.size_scv = r.non_negative("size_scv", s.size_scv);
-  s.count = r.u64("count", s.count);
-}
-
-void parse_workload(ObjectReader& r, WorkloadSpec& w) {
-  w.kind = r.string("kind", w.kind);
-  if (workload_registry().find(w.kind) == nullptr) {
-    r.fail("kind", "unknown workload kind '" + w.kind + "' (known: " +
-                       workload_registry().known_list() + ")");
-  }
-  w.seed_stride = r.u64("seed_stride", w.seed_stride);
-  // Only the payload matching the kind may appear (and parse): a stray
-  // payload for another kind would be silently dead configuration.
-  for (const char* payload : {"micro", "synthetic", "trace-file"}) {
-    if (payload != w.kind && r.has(payload)) {
-      r.fail(payload, "payload does not match kind '" + w.kind + "'");
-    }
-  }
-  r.object("micro", [&](ObjectReader& m) {
-    m.object("read", [&](ObjectReader& s) { parse_micro_stream(s, w.micro.read); });
-    m.object("write", [&](ObjectReader& s) { parse_micro_stream(s, w.micro.write); });
-    w.micro.lba_space_bytes = m.u64("lba_space_bytes", w.micro.lba_space_bytes, 1);
-    w.micro.align_bytes =
-        static_cast<std::uint32_t>(m.u64("align_bytes", w.micro.align_bytes, 1));
-    w.micro.min_size_bytes =
-        static_cast<std::uint32_t>(m.u64("min_size_bytes", w.micro.min_size_bytes, 1));
-    w.micro.max_size_bytes =
-        static_cast<std::uint32_t>(m.u64("max_size_bytes", w.micro.max_size_bytes, 1));
-    if (w.micro.min_size_bytes > w.micro.max_size_bytes) {
-      m.fail("min_size_bytes", "must be <= max_size_bytes");
-    }
-    w.micro.zipf_theta = m.non_negative("zipf_theta", w.micro.zipf_theta);
-  });
-  r.object("synthetic", [&](ObjectReader& m) {
-    m.object("read",
-             [&](ObjectReader& s) { parse_synthetic_stream(s, w.synthetic.read); });
-    m.object("write",
-             [&](ObjectReader& s) { parse_synthetic_stream(s, w.synthetic.write); });
-    w.synthetic.lba_space_bytes =
-        m.u64("lba_space_bytes", w.synthetic.lba_space_bytes, 1);
-    w.synthetic.align_bytes =
-        static_cast<std::uint32_t>(m.u64("align_bytes", w.synthetic.align_bytes, 1));
-    w.synthetic.min_size_bytes = static_cast<std::uint32_t>(
-        m.u64("min_size_bytes", w.synthetic.min_size_bytes, 1));
-    w.synthetic.max_size_bytes = static_cast<std::uint32_t>(
-        m.u64("max_size_bytes", w.synthetic.max_size_bytes, 1));
-    if (w.synthetic.min_size_bytes > w.synthetic.max_size_bytes) {
-      m.fail("min_size_bytes", "must be <= max_size_bytes");
-    }
-  });
-  r.object("trace-file", [&](ObjectReader& m) {
-    w.trace_path = m.string("path", w.trace_path);
-    if (w.trace_path.empty()) m.fail("path", "must not be empty");
-  });
-}
-
-void parse_src(ObjectReader& r, SrcSpec& s) {
-  s.enabled = r.boolean("enabled", s.enabled);
-  r.object("params", [&](ObjectReader& p) {
-    s.params.tau = p.number("tau", s.params.tau);
-    if (!(s.params.tau > 0.0 && s.params.tau < 1.0)) {
-      p.fail("tau", "must be in (0, 1)");
-    }
-    s.params.max_weight_ratio = static_cast<std::uint32_t>(
-        p.u64("max_weight_ratio", s.params.max_weight_ratio, 1));
-    s.params.min_adjust_interval =
-        p.time("min_adjust_interval", s.params.min_adjust_interval);
-    s.params.prediction_window =
-        p.time("prediction_window", s.params.prediction_window);
-    if (s.params.prediction_window <= 0) {
-      p.fail("prediction_window_ns", "must be > 0");
-    }
-    s.params.staleness_window = p.time("staleness_window", s.params.staleness_window);
-    s.params.max_sane_throughput =
-        p.positive("max_sane_throughput", s.params.max_sane_throughput);
-  });
-  r.object("tpm", [&](ObjectReader& t) {
-    s.tpm.source = t.string("source", s.tpm.source);
-    if (tpm_registry().find(s.tpm.source) == nullptr) {
-      t.fail("source", "unknown tpm source '" + s.tpm.source + "'");
-    }
-    s.tpm.path = t.string("path", s.tpm.path);
-    if (s.tpm.source == "file" && s.tpm.path.empty()) {
-      t.fail("path", "required when source is \"file\"");
-    }
-    s.tpm.train_seed = t.u64("train_seed", s.tpm.train_seed);
-  });
-}
-
-void parse_retry(ObjectReader& r, fabric::RetryPolicy& p) {
-  p.enabled = r.boolean("enabled", p.enabled);
-  p.base_timeout = r.time("base_timeout", p.base_timeout);
-  p.backoff_factor = r.number("backoff_factor", p.backoff_factor);
-  if (p.backoff_factor < 1.0) r.fail("backoff_factor", "must be >= 1");
-  p.max_timeout = r.time("max_timeout", p.max_timeout);
-  if (p.enabled && (p.base_timeout <= 0 || p.max_timeout < p.base_timeout)) {
-    r.fail("base_timeout_ns",
-           "enabled retry needs 0 < base_timeout <= max_timeout");
-  }
-  p.max_retries = static_cast<std::uint32_t>(r.u64("max_retries", p.max_retries));
-}
-
-void check_window(ObjectReader& r, const char* start_key, common::SimTime start,
-                  common::SimTime end) {
-  if (end < start) {
-    r.fail(start_key, "fault window must have start <= end");
-  }
-}
-
-void parse_faults(ObjectReader& r, fault::FaultPlan& plan) {
-  plan.seed = r.u64("seed", plan.seed);
-  r.array("packet_drops", [&](ObjectReader& e, std::size_t) {
-    fault::PacketDropFault f;
-    f.node = static_cast<net::NodeId>(e.u64("node", f.node));
-    f.port = static_cast<std::int32_t>(e.i64("port", f.port));
-    if (f.port < -1) e.fail("port", "must be >= -1 (-1 = every port)");
-    f.start = e.time("start", f.start);
-    f.end = e.time("end", f.end);
-    check_window(e, "start_ns", f.start, f.end);
-    f.probability = e.unit_interval("probability", f.probability);
-    plan.packet_drops.push_back(f);
-  });
-  r.array("link_downs", [&](ObjectReader& e, std::size_t) {
-    fault::LinkDownFault f;
-    f.node = static_cast<net::NodeId>(e.u64("node", f.node));
-    f.port = e.u64("port", f.port);
-    f.down_at = e.time("down_at", f.down_at);
-    f.up_at = e.time("up_at", f.up_at);
-    check_window(e, "down_at_ns", f.down_at, f.up_at);
-    plan.link_downs.push_back(f);
-  });
-  r.array("latency_spikes", [&](ObjectReader& e, std::size_t) {
-    fault::DeviceLatencyFault f;
-    f.target = e.u64("target", f.target);
-    f.device = e.u64("device", f.device);
-    f.start = e.time("start", f.start);
-    f.end = e.time("end", f.end);
-    check_window(e, "start_ns", f.start, f.end);
-    f.scale = e.positive("scale", f.scale);
-    plan.latency_spikes.push_back(f);
-  });
-  r.array("outages", [&](ObjectReader& e, std::size_t) {
-    fault::DeviceOutageFault f;
-    f.target = e.u64("target", f.target);
-    f.device = e.u64("device", f.device);
-    f.offline_at = e.time("offline_at", f.offline_at);
-    f.online_at = e.time("online_at", f.online_at);
-    check_window(e, "offline_at_ns", f.offline_at, f.online_at);
-    plan.outages.push_back(f);
-  });
-  r.array("transient_errors", [&](ObjectReader& e, std::size_t) {
-    fault::TransientErrorFault f;
-    f.target = e.u64("target", f.target);
-    f.device = e.u64("device", f.device);
-    f.start = e.time("start", f.start);
-    f.end = e.time("end", f.end);
-    check_window(e, "start_ns", f.start, f.end);
-    f.probability = e.unit_interval("probability", f.probability);
-    plan.transient_errors.push_back(f);
-  });
-  r.array("tpm_faults", [&](ObjectReader& e, std::size_t) {
-    fault::TpmFault f;
-    f.controller = e.u64("controller", f.controller);
-    f.start = e.time("start", f.start);
-    f.end = e.time("end", f.end);
-    check_window(e, "start_ns", f.start, f.end);
-    const std::string kind = e.string("kind", "nan");
-    if (kind == "nan") f.kind = fault::TpmFaultKind::kNan;
-    else if (kind == "inf") f.kind = fault::TpmFaultKind::kInf;
-    else if (kind == "negative") f.kind = fault::TpmFaultKind::kNegative;
-    else if (kind == "huge") f.kind = fault::TpmFaultKind::kHuge;
-    else e.fail("kind", "unknown tpm fault kind '" + kind +
-                            "' (known: nan, inf, negative, huge)");
-    plan.tpm_faults.push_back(f);
-  });
-  r.array("signal_losses", [&](ObjectReader& e, std::size_t) {
-    fault::SignalLossFault f;
-    f.target = e.u64("target", f.target);
-    f.start = e.time("start", f.start);
-    f.end = e.time("end", f.end);
-    check_window(e, "start_ns", f.start, f.end);
-    plan.signal_losses.push_back(f);
-  });
 }
 
 // Cross-validate every fault entry against the topology and src blocks, so
@@ -1055,77 +938,13 @@ void validate_faults(const ScenarioSpec& spec, const std::string& file) {
   }
 }
 
-void parse_verify(ObjectReader& r, VerifySpec& v) {
-  v.enabled = r.boolean("enabled", v.enabled);
-  v.io_accounting = r.boolean("io_accounting", v.io_accounting);
-  v.driver_conservation =
-      r.boolean("driver_conservation", v.driver_conservation);
-  v.ssq_tokens = r.boolean("ssq_tokens", v.ssq_tokens);
-  v.retry_bound = r.boolean("retry_bound", v.retry_bound);
-  v.overlap_order = r.boolean("overlap_order", v.overlap_order);
-  v.monotone_time = r.boolean("monotone_time", v.monotone_time);
-  v.liveness = r.boolean("liveness", v.liveness);
-  v.poll_interval = r.time("poll_interval", v.poll_interval);
-  if (v.poll_interval <= 0) r.fail("poll_interval_ns", "must be > 0");
-  v.liveness_grace = r.time("liveness_grace", v.liveness_grace);
-  v.max_violations = r.u64("max_violations", v.max_violations, 1);
-}
-
-Json verify_to_json(const VerifySpec& v) {
-  Json out{Json::Object{}};
-  out.set("enabled", Json{v.enabled});
-  out.set("io_accounting", Json{v.io_accounting});
-  out.set("driver_conservation", Json{v.driver_conservation});
-  out.set("ssq_tokens", Json{v.ssq_tokens});
-  out.set("retry_bound", Json{v.retry_bound});
-  out.set("overlap_order", Json{v.overlap_order});
-  out.set("monotone_time", Json{v.monotone_time});
-  out.set("liveness", Json{v.liveness});
-  put_time(out, "poll_interval", v.poll_interval);
-  put_time(out, "liveness_grace", v.liveness_grace);
-  out.set("max_violations", Json{v.max_violations});
-  return out;
-}
-
 }  // namespace
 
 Json to_json(const ScenarioSpec& spec) {
-  Json out{Json::Object{}};
-  out.set("schema", Json{std::string(kScenarioSchema)});
-  out.set("name", Json{spec.name});
-  if (!spec.description.empty()) out.set("description", Json{spec.description});
-  out.set("seed", Json{spec.seed});
-  put_time(out, "max_time", spec.max_time);
-  // Emitted only when set: existing manifests and dumps stay byte-stable,
-  // and lanes == 0 (classic engine) is the parse default anyway.
-  if (spec.lanes != 0) {
-    out.set("lanes", Json{static_cast<std::uint64_t>(spec.lanes)});
-  }
-  out.set("topology", topology_to_json(spec.topology));
-  out.set("net", net_to_json(spec.net));
-  out.set("ssd", ssd_to_json(spec.ssd));
-  out.set("driver", Json{spec.driver});
-  Json workloads{Json::Array{}};
-  for (const WorkloadSpec& w : spec.workloads) {
-    workloads.push_back(workload_to_json(w));
-  }
-  out.set("workloads", std::move(workloads));
-  if (!spec.initiators.empty()) {
-    Json initiators{Json::Array{}};
-    for (const InitiatorSpec& ini : spec.initiators) {
-      Json entry{Json::Object{}};
-      if (!ini.cc.empty()) entry.set("cc", Json{ini.cc});
-      initiators.push_back(std::move(entry));
-    }
-    out.set("initiators", std::move(initiators));
-  }
-  out.set("src", src_to_json(spec.src));
-  out.set("retry", retry_to_json(spec.retry));
-  if (!spec.faults.empty()) out.set("faults", faults_to_json(spec.faults));
-  if (spec.verify != VerifySpec{}) {
-    out.set("verify", verify_to_json(spec.verify));
-  }
-  return out;
+  ObjectWriter writer;
+  writer.text("schema", std::string(kScenarioSchema));
+  fields(writer, spec);
+  return std::move(writer.out);
 }
 
 std::string to_json_text(const ScenarioSpec& spec) {
@@ -1133,76 +952,18 @@ std::string to_json_text(const ScenarioSpec& spec) {
 }
 
 ScenarioSpec from_json(const obs::Json& doc, const std::string& file) {
+  ObjectReader reader(doc, file, "$");
+  std::string schema;
+  reader.text("schema", schema);
+  const std::string want = "(want \"" + std::string(kScenarioSchema) + "\")";
+  reader.check(schema == kScenarioSchema, "schema",
+               schema.empty() ? "missing " + want
+                              : "unsupported schema \"" + schema + "\" " + want);
   ScenarioSpec spec;
-  ObjectReader r(doc, file, "$");
-
-  const std::string schema = r.string("schema", "");
-  if (schema != kScenarioSchema) {
-    r.fail("schema", schema.empty()
-                         ? std::string("missing (want \"") +
-                               std::string(kScenarioSchema) + "\")"
-                         : "unsupported schema \"" + schema + "\" (want \"" +
-                               std::string(kScenarioSchema) + "\")");
-  }
-  spec.name = r.string("name", spec.name);
-  if (spec.name.empty()) r.fail("name", "must not be empty");
-  spec.description = r.string("description", spec.description);
-  spec.seed = r.u64("seed", spec.seed);
-  spec.max_time = r.time("max_time", spec.max_time);
-  if (spec.max_time <= 0) r.fail("max_time_ns", "must be > 0");
-  spec.lanes = r.u64("lanes", spec.lanes);
-
-  r.object("topology", [&](ObjectReader& t) { parse_topology(t, spec.topology); });
-  r.object("net", [&](ObjectReader& n) { parse_net(n, spec.net); });
-  r.object("ssd", [&](ObjectReader& s) { parse_ssd(s, spec.ssd); });
-
-  spec.driver = r.string("driver", spec.driver);
-  if (driver_registry().find(spec.driver) == nullptr) {
-    r.fail("driver", "unknown driver '" + spec.driver + "' (known: " +
-                         driver_registry().known_list() + ")");
-  }
-
-  r.array("workloads", [&](ObjectReader& w, std::size_t) {
-    WorkloadSpec workload;
-    parse_workload(w, workload);
-    spec.workloads.push_back(std::move(workload));
-  });
-  if (spec.workloads.empty()) {
-    r.fail("workloads", "at least one workload is required");
-  }
-  if (spec.workloads.size() != 1 &&
-      spec.workloads.size() != spec.topology.initiators) {
-    r.fail("workloads",
-           "need exactly 1 entry (shared) or one per initiator (" +
-               std::to_string(spec.topology.initiators) + "), got " +
-               std::to_string(spec.workloads.size()));
-  }
-
-  r.array("initiators", [&](ObjectReader& e, std::size_t) {
-    InitiatorSpec ini;
-    ini.cc = e.string("cc", ini.cc);
-    if (!ini.cc.empty() && cc_registry().find(ini.cc) == nullptr) {
-      e.fail("cc", "unknown congestion controller '" + ini.cc +
-                       "' (known: " + cc_registry().known_list() + ")");
-    }
-    spec.initiators.push_back(std::move(ini));
-  });
-  if (!spec.initiators.empty() && spec.initiators.size() != 1 &&
-      spec.initiators.size() != spec.topology.initiators) {
-    r.fail("initiators",
-           "need exactly 1 entry (shared) or one per initiator (" +
-               std::to_string(spec.topology.initiators) + "), got " +
-               std::to_string(spec.initiators.size()));
-  }
-
-  r.object("src", [&](ObjectReader& s) { parse_src(s, spec.src); });
-  r.object("retry", [&](ObjectReader& p) { parse_retry(p, spec.retry); });
-  r.object("faults", [&](ObjectReader& f) { parse_faults(f, spec.faults); });
+  fields(reader, spec);
   validate_faults(spec, file);
-  r.object("verify", [&](ObjectReader& v) { parse_verify(v, spec.verify); });
   validate_pod(spec, file);
-
-  r.done();
+  reader.done();
   return spec;
 }
 

@@ -1,20 +1,28 @@
 // ScenarioSpec <-> JSON (schema "src-scenario-v1") on obs::Json.
 //
-// The emitted document is deterministic: fixed key order, integers printed
-// exactly, doubles with enough digits for a lossless round trip — so
-// serialize(parse(serialize(spec))) == serialize(spec) byte-for-byte and
-// manifests diff cleanly under version control.
+// Every spec struct has one field declaration in serialize.cpp,
+// `fields(io, s)`, with one line per field: key, member, kind (count,
+// number, flag, text, name, time, rate, object, array) and range. Two
+// visitors run it. The strict reader parses; the writer emits. Adding a
+// field is one line there; DESIGN.md §11.1 has the details.
+//
+// The emitted document is deterministic: declaration key order, integers
+// printed exactly, doubles with enough digits for a lossless round trip.
+// So serialize(parse(serialize(spec))) == serialize(spec) byte-for-byte
+// and manifests diff cleanly under version control.
 //
 // Parsing is strict: the schema tag must match, unknown keys are errors
-// (they are silent typos otherwise), and every value is range-checked.
-// Errors are std::runtime_error with "file:$.path.to.key: message"
-// locations, e.g.
+// (they are silent typos otherwise), and every value is range-checked,
+// integers up to the width of their C++ type. Errors are
+// std::runtime_error with "file:$.path.to.key: message" locations that
+// name the key as the manifest spelled it, e.g.
 //   vdi.json:$.topology.initiators: must be >= 1 (got 0)
 //
 // Units: times are nanosecond integers with an `_ns` key suffix (the
-// simulator's native unit; `_us`/`_ms` doubles are accepted as authoring
-// sugar), and rates are `_bytes_per_sec` doubles (`_gbps`/`_mbps` accepted
-// on input). The serializer always emits the native form.
+// simulator's native unit; `_us`/`_ms` doubles up to 2^53 ns are accepted
+// as authoring sugar), and rates are `_bytes_per_sec` doubles
+// (`_gbps`/`_mbps` accepted on input). The serializer always emits the
+// native form.
 #pragma once
 
 #include <string>

@@ -96,7 +96,7 @@ TEST(FaultValidation, InvertedWindowIsRejected) {
             R"({"outages": [{"target": 0, "device": 0,
                              "offline_at_ms": 5, "online_at_ms": 1}]})"));
       },
-      "$.faults.outages[0].offline_at_ns: fault window must have start <= end");
+      "$.faults.outages[0].offline_at_ms: fault window must have start <= end");
 }
 
 TEST(FaultValidation, SignalLossTargetOutOfRange) {

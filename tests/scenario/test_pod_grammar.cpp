@@ -130,6 +130,19 @@ TEST(PodGrammar, RangeDiagnosticsCarryFileAndPath) {
       },
       "pod.json:$.topology.pod.rack_uplink_delay_ns: must be >= 1 under "
       "partition 'rack'");
+  // Sugared keys are reported as written.
+  expect_parse_error(
+      [] {
+        parse_scenario(pod_manifest(R"("spine_uplink_delay_us": 0)"),
+                       "pod.json");
+      },
+      "pod.json:$.topology.pod.spine_uplink_delay_us: must be >= 1 under "
+      "partition 'rack'");
+  expect_parse_error(
+      [] {
+        parse_scenario(pod_manifest(R"("host_rate_gbps": 0)"), "pod.json");
+      },
+      "pod.json:$.topology.pod.host_rate_gbps: must be > 0");
 }
 
 TEST(PodGrammar, CrossFieldValidationAnchorsTheOffendingKey) {

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "scenario/build.hpp"
@@ -150,6 +151,77 @@ TEST(SpecParse, DiagnosticsCarryFileAndJsonPath) {
   // JSON-level syntax errors keep the file label.
   expect_parse_error([] { parse_scenario("{", "broken.json"); },
                      "broken.json: Json::parse:");
+
+  // One-block inputs spliced into a minimal manifest: integer fields are
+  // bounded by their C++ type instead of wrapping, and a failed check names
+  // the key as the manifest spelled it (the native spelling when absent).
+  const std::pair<const char*, const char*> cases[] = {
+      {R"("ssd": {"queue_depth": 4294967296})",
+       "$.ssd.queue_depth: must be <= 4294967295 (got 4294967296)"},
+      {R"("net": {"mtu_bytes": 4294967296})",
+       "$.net.mtu_bytes: must be <= 4294967295 (got 4294967296)"},
+      {R"("ssd": {"drain_streams": 4294967296})",
+       "$.ssd.drain_streams: must be <= 4294967295 (got 4294967296)"},
+      {R"("net": {"dcqcn": {"fast_recovery_stages": 4294967296}})",
+       "$.net.dcqcn.fast_recovery_stages: must be <= 4294967295"},
+      {R"("src": {"params": {"max_weight_ratio": 4294967296}})",
+       "$.src.params.max_weight_ratio: must be <= 4294967295"},
+      {R"("retry": {"max_retries": 4294967296})",
+       "$.retry.max_retries: must be <= 4294967295"},
+      {R"("faults": {"packet_drops": [{"node": 1, "port": 2147483648}]})",
+       "$.faults.packet_drops[0].port: must be <= 2147483647 (got 2147483648)"},
+      {R"("max_time_us": 0)", "$.max_time_us: must be > 0"},
+      {R"("topology": {"link_rate_gbps": 0})",
+       "$.topology.link_rate_gbps: must be > 0"},
+      {R"("src": {"params": {"prediction_window_ms": 0}})",
+       "$.src.params.prediction_window_ms: must be > 0"},
+      {R"("verify": {"poll_interval_us": 0})",
+       "$.verify.poll_interval_us: must be > 0"},
+      {R"("retry": {"enabled": true, "base_timeout_ms": 0})",
+       "$.retry.base_timeout_ms: enabled retry needs"},
+      {R"("retry": {"enabled": true, "max_timeout_ms": 1})",
+       "$.retry.base_timeout_ns: enabled retry needs"},
+  };
+  for (const auto& [block, message] : cases) {
+    expect_parse_error(
+        [block] {
+          parse_scenario(std::string(R"({"schema": "src-scenario-v1",
+                                         "workloads": [{"kind": "micro"}], )") +
+                         block + "}");
+        },
+        message);
+  }
+  expect_parse_error(
+      [] {
+        parse_scenario(R"({"schema": "src-scenario-v1",
+                           "workloads": [{"kind": "micro",
+                             "micro": {"max_size_bytes": 4294967296}}]})");
+      },
+      "$.workloads[0].micro.max_size_bytes: must be <= 4294967295");
+}
+
+TEST(SpecParse, SugaredDurationsCannotOverflow) {
+  // 1e20 ms is far past 2^53 ns; the sugared key is named as written.
+  expect_parse_error(
+      [] {
+        parse_scenario(R"({"schema": "src-scenario-v1",
+                           "workloads": [{"kind": "micro"}],
+                           "max_time_ms": 1e20})");
+      },
+      "$.max_time_ms: must be <= 2^53 ns (got 1e+20)");
+  expect_parse_error(
+      [] {
+        parse_scenario(R"({"schema": "src-scenario-v1",
+                           "workloads": [{"kind": "micro"}],
+                           "topology": {"link_delay_us": 1e13}})");
+      },
+      "$.topology.link_delay_us: must be <= 2^53 ns");
+  // The bound itself is accepted: 9007199254740.992 us is exactly 2^53 ns.
+  const ScenarioSpec spec = parse_scenario(
+      R"({"schema": "src-scenario-v1",
+          "workloads": [{"kind": "micro"}],
+          "max_time_us": 9007199254740})");
+  EXPECT_EQ(spec.max_time, 9007199254740000);
 }
 
 TEST(SpecParse, UnitSugarNormalizesToNative) {

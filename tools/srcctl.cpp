@@ -41,8 +41,9 @@ using namespace src;
 namespace {
 
 /// Tiny --flag=value / --flag value parser. Non-flag tokens are collected
-/// as positionals; whether a command accepts them is declared in its
-/// kCommands entry (main rejects stray ones up front).
+/// as positionals; which flags a command reads and whether it accepts
+/// positionals are declared in its kCommands entry (main rejects the rest
+/// up front).
 class Args {
  public:
   Args(int argc, char** argv, int first) {
@@ -89,6 +90,7 @@ class Args {
     return value;
   }
   bool has(const std::string& key) const { return values_.count(key) > 0; }
+  const std::map<std::string, std::string>& flags() const { return values_; }
   const std::vector<std::string>& positionals() const { return positionals_; }
 
  private:
@@ -1490,43 +1492,54 @@ int cmd_lint(int argc, char** argv) {
 }
 
 /// The subcommand table: name, one-line summary for the generated help,
-/// handler, and whether positional operands are accepted (commands that
-/// take only flags reject strays up front). Forwarding commands (lint)
-/// set `raw_handler` instead and receive untouched argc/argv.
+/// the flags the handler reads (space-separated; `--help` is always
+/// accepted and main rejects any other flag up front), handler, and
+/// whether positional operands are accepted (commands that take only flags
+/// reject strays up front). Forwarding commands (lint) set `raw_handler`
+/// instead and receive untouched argc/argv.
 struct Command {
   const char* name;
   const char* summary;
+  const char* flags;
   int (*handler)(const Args&) = nullptr;
   bool takes_positionals = false;
   int (*raw_handler)(int, char**) = nullptr;
 };
 
 const Command kCommands[] = {
-    {"sweep", "fig-5-style weight-ratio sweep on one workload", cmd_sweep},
+    {"sweep", "fig-5-style weight-ratio sweep on one workload",
+     "count iat seed size-kb ssd", cmd_sweep},
     {"experiment", "DCQCN-only vs DCQCN-SRC on an evaluation preset",
-     cmd_experiment},
-    {"run", "run a scenario manifest (src-scenario-v1 JSON)", cmd_run, true},
+     "initiators metrics-out model preset seed targets", cmd_experiment},
+    {"run", "run a scenario manifest (src-scenario-v1 JSON)",
+     "dump lanes lenient metrics-out model", cmd_run, true},
     {"scenarios", "list the built-in scenario presets / dump them as JSON",
-     cmd_scenarios, true},
+     "all out-dir", cmd_scenarios, true},
     {"trace", "run a preset with tracing on; emit Chrome trace JSON",
-     cmd_trace},
-    {"tpm", "train a throughput prediction model and inspect it", cmd_tpm},
+     "capacity metrics-out model out preset", cmd_trace},
+    {"tpm", "train a throughput prediction model and inspect it",
+     "save seed ssd", cmd_tpm},
     {"trace-gen", "generate a CSV block trace (micro / vdi / cbs)",
-     cmd_trace_gen},
-    {"trace-stats", "summarize a CSV block trace", cmd_trace_stats},
-    {"replay", "replay a CSV trace against a simulated SSD", cmd_replay},
+     "count iat out preset seed size-kb", cmd_trace_gen},
+    {"trace-stats", "summarize a CSV block trace", "trace", cmd_trace_stats},
+    {"replay", "replay a CSV trace against a simulated SSD",
+     "ssd trace weight", cmd_replay},
     {"faults", "canned fault-injection scenario with timeout/retry",
+     "devices drop-end-ms drop-prob drop-start-ms max-retries no-retry "
+     "outage-device outage-end-ms outage-start-ms requests seed",
      cmd_faults},
     {"chaos", "randomized fault campaigns with invariant verification",
+     "base budget jobs link-downs model no-shrink out out-dir seed "
+     "shrink-budget trials",
      cmd_chaos, true},
     {"benchcheck", "validate BENCH_*.json files against src-bench-v1",
-     cmd_benchcheck, true},
+     "baseline tolerance", cmd_benchcheck, true},
     {"benchdiff", "per-section throughput delta between two BENCH_*.json",
-     cmd_benchdiff, true},
+     "tolerance", cmd_benchdiff, true},
     {"metricscheck", "validate srcctl run reports (src-run-v1 / src-pod-run-v1)",
-     cmd_metricscheck, true},
+     "", cmd_metricscheck, true},
     {"lint", "run the srclint determinism & invariant linter (R1-R9)",
-     nullptr, true, cmd_lint},
+     "", nullptr, true, cmd_lint},
 };
 
 int print_usage(std::FILE* out) {
@@ -1549,6 +1562,15 @@ int main(int argc, char** argv) {
     if (name != command.name) continue;
     if (command.raw_handler != nullptr) return command.raw_handler(argc, argv);
     const Args args(argc, argv, 2);
+    const std::string known = std::string(" help ") + command.flags + " ";
+    for (const auto& [flag, value] : args.flags()) {
+      (void)value;
+      if (known.find(" " + flag + " ") == std::string::npos) {
+        std::fprintf(stderr, "srcctl: --%s: unknown flag for '%s'\n",
+                     flag.c_str(), command.name);
+        return 2;
+      }
+    }
     if (!command.takes_positionals && !args.positionals().empty()) {
       std::fprintf(stderr, "%s: unexpected argument '%s'\n", command.name,
                    args.positionals().front().c_str());
