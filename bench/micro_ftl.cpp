@@ -1,93 +1,109 @@
-// Hot-path cost of the FTL: mapping lookups, log-structured writes, and
-// full GC cycles.
-#include <benchmark/benchmark.h>
+// Hot-path cost of the FTL: log-structured writes with GC kept ahead of
+// the allocator, mapping lookups, and full GC cycles; plus the latency
+// recorder every completion feeds. Results land in BENCH_micro_ftl.json via
+// the shared harness.
+#include <cstdint>
+#include <cstdio>
 
-#include "common/rng.hpp"
+#include "bench/harness.hpp"
 #include "common/latency.hpp"
+#include "common/rng.hpp"
 #include "ssd/ftl.hpp"
 
 namespace {
 
 using namespace src::ssd;
 
+constexpr std::uint64_t kLogicalPages = 1 << 16;
+
 FtlConfig bench_config() {
   FtlConfig config;
-  config.logical_pages = 1 << 16;
+  config.logical_pages = kLogicalPages;
   config.pages_per_block = 64;
   config.chips = 16;
   config.overprovision = 0.20;
   return config;
 }
 
-void BM_FtlWrite(benchmark::State& state) {
-  Ftl ftl(bench_config());
-  src::common::Rng rng(1);
-  for (auto _ : state) {
-    // Keep GC ahead of the allocator, as the device model does.
-    while (ftl.gc_needed()) {
-      const auto plan = ftl.plan_gc();
-      if (!plan) break;
-      for (const auto logical : plan->valid_logical_pages) {
-        ftl.rewrite_for_gc(logical, plan->chip);
-      }
-      ftl.finish_gc(*plan);
-    }
-    benchmark::DoNotOptimize(ftl.write(rng.uniform_index(1 << 16)));
+/// One plan -> relocate -> erase round; false when GC has no victim.
+bool gc_cycle(Ftl& ftl) {
+  const auto plan = ftl.plan_gc();
+  if (!plan) return false;
+  for (const auto logical : plan->valid_logical_pages) {
+    ftl.rewrite_for_gc(logical, plan->chip);
   }
-  state.SetItemsProcessed(state.iterations());
+  ftl.finish_gc(*plan);
+  return true;
 }
-BENCHMARK(BM_FtlWrite);
 
-void BM_FtlTranslate(benchmark::State& state) {
-  Ftl ftl(bench_config());
-  src::common::Rng rng(2);
-  for (int i = 0; i < (1 << 16); ++i) ftl.write(static_cast<std::uint64_t>(i));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ftl.translate(rng.uniform_index(1 << 16)));
-  }
-  state.SetItemsProcessed(state.iterations());
+/// Keep GC ahead of the allocator, as the device model does.
+void collect(Ftl& ftl) {
+  while (ftl.gc_needed() && gc_cycle(ftl)) {}
 }
-BENCHMARK(BM_FtlTranslate);
-
-void BM_FtlGcCycle(benchmark::State& state) {
-  // Cost of one plan -> relocate -> erase round at steady state.
-  Ftl ftl(bench_config());
-  src::common::Rng rng(3);
-  for (int i = 0; i < (1 << 17); ++i) {
-    while (ftl.gc_needed()) {
-      const auto plan = ftl.plan_gc();
-      if (!plan) break;
-      for (const auto logical : plan->valid_logical_pages) {
-        ftl.rewrite_for_gc(logical, plan->chip);
-      }
-      ftl.finish_gc(*plan);
-    }
-    ftl.write(rng.uniform_index(1 << 16));
-  }
-  for (auto _ : state) {
-    // Push writes until GC becomes needed, then time one cycle.
-    while (!ftl.gc_needed()) ftl.write(rng.uniform_index(1 << 16));
-    const auto plan = ftl.plan_gc();
-    if (!plan) continue;
-    for (const auto logical : plan->valid_logical_pages) {
-      ftl.rewrite_for_gc(logical, plan->chip);
-    }
-    ftl.finish_gc(*plan);
-    benchmark::DoNotOptimize(ftl.stats().erases);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_FtlGcCycle);
-
-void BM_LatencyRecorder(benchmark::State& state) {
-  src::common::LatencyRecorder recorder;
-  src::common::Rng rng(4);
-  for (auto _ : state) {
-    recorder.record(src::common::microseconds(rng.exponential(200.0)));
-  }
-  benchmark::DoNotOptimize(recorder.p99_us());
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_LatencyRecorder);
 
 }  // namespace
+
+int main() {
+  src::bench::Harness harness("micro_ftl");
+  std::uint64_t sink = 0;
+
+  {
+    Ftl ftl(bench_config());
+    src::common::Rng rng(1);
+    harness.repeat("ftl_write", /*items_per_iter=*/100'000, [&] {
+      for (int i = 0; i < 100'000; ++i) {
+        collect(ftl);
+        sink += ftl.write(rng.uniform_index(kLogicalPages)).chip;
+      }
+      return 0;
+    });
+  }
+
+  {
+    Ftl ftl(bench_config());
+    src::common::Rng rng(2);
+    for (std::uint64_t i = 0; i < kLogicalPages; ++i) ftl.write(i);
+    harness.repeat("ftl_translate", /*items_per_iter=*/1'000'000, [&] {
+      for (int i = 0; i < 1'000'000; ++i) {
+        if (const auto mapped = ftl.translate(rng.uniform_index(kLogicalPages))) {
+          sink += mapped->chip;
+        }
+      }
+      return 0;
+    });
+  }
+
+  {
+    // Steady state first, then time whole cycles: push writes until GC is
+    // needed, then run one plan -> relocate -> erase round.
+    Ftl ftl(bench_config());
+    src::common::Rng rng(3);
+    for (int i = 0; i < (1 << 17); ++i) {
+      collect(ftl);
+      ftl.write(rng.uniform_index(kLogicalPages));
+    }
+    harness.repeat("ftl_gc_cycle", /*items_per_iter=*/100, [&] {
+      for (int i = 0; i < 100; ++i) {
+        while (!ftl.gc_needed()) ftl.write(rng.uniform_index(kLogicalPages));
+        gc_cycle(ftl);
+      }
+      sink += ftl.stats().erases;
+      return 0;
+    });
+  }
+
+  {
+    src::common::LatencyRecorder recorder;
+    src::common::Rng rng(4);
+    harness.repeat("latency_recorder", /*items_per_iter=*/1'000'000, [&] {
+      for (int i = 0; i < 1'000'000; ++i) {
+        recorder.record(src::common::microseconds(rng.exponential(200.0)));
+      }
+      sink += static_cast<std::uint64_t>(recorder.p99_us());
+      return 0;
+    });
+  }
+
+  if (sink == 0) std::printf("%llu\n", static_cast<unsigned long long>(sink));
+  return 0;
+}

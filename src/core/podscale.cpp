@@ -1,5 +1,6 @@
 #include "core/podscale.hpp"
 
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 
@@ -146,8 +147,15 @@ PodExperimentResult run_pod_experiment(const PodExperimentConfig& config) {
   }
 
   // Replay: each record is split into stripe_width chunks over consecutive
-  // targets; every chunk is pre-scheduled on its initiator's own kernel, so
-  // the whole workload is on the event lanes before the first window runs.
+  // targets; every chunk is one item of a series on its initiator's own
+  // kernel, so the whole workload is on the event lanes (one calendar
+  // entry per initiator) before the first window runs.
+  struct Send {
+    common::SimTime at;
+    std::uint64_t bytes;
+    net::NodeId dst;
+    std::uint32_t tag;
+  };
   std::vector<std::uint64_t> reads_issued(n_init, 0);
   std::vector<std::uint64_t> writes_expected(n_targets, 0);
   for (std::size_t i = 0; i < n_init; ++i) {
@@ -155,6 +163,7 @@ PodExperimentResult run_pod_experiment(const PodExperimentConfig& config) {
     sim::Simulator& kernel =
         lanes.kernel(network.shard_of(initiator_nodes[i]));
     const workload::Trace trace = config.trace_for(i);
+    auto sends = std::make_shared<std::vector<Send>>();
     std::size_t chunk_cursor = 0;
     for (const workload::TraceRecord& record : trace) {
       const std::uint64_t base = record.bytes / config.stripe_width;
@@ -166,19 +175,20 @@ PodExperimentResult run_pod_experiment(const PodExperimentConfig& config) {
         const net::NodeId dst = target_nodes[t];
         if (record.type == common::IoType::kWrite) {
           ++writes_expected[t];
-          kernel.schedule_at(record.arrival, [initiator, dst, chunk] {
-            initiator->send_message(dst, chunk, 0);
-          });
+          sends->push_back({record.arrival, chunk, dst, 0});
         } else {
           ++reads_issued[i];
-          const std::uint32_t tag =
-              kReadTagBit | static_cast<std::uint32_t>(chunk);
-          kernel.schedule_at(record.arrival, [initiator, dst, tag] {
-            initiator->send_message(dst, kCapsuleBytes, tag);
-          });
+          sends->push_back({record.arrival, kCapsuleBytes, dst,
+                            kReadTagBit | static_cast<std::uint32_t>(chunk)});
         }
       }
     }
+    kernel.schedule_series(
+        sends->size(), [sends](std::size_t k) { return (*sends)[k].at; },
+        [sends, initiator](std::size_t k) {
+          const Send& send = (*sends)[k];
+          initiator->send_message(send.dst, send.bytes, send.tag);
+        });
   }
 
   // Run in slices, polling completion while the lanes are quiescent.

@@ -37,17 +37,20 @@ StandaloneResult run_standalone(const ssd::SsdConfig& config,
         }
       });
 
-  for (const auto& rec : trace) {
-    // srclint:capture-ok(driver and sim are locals outliving the run loop)
-    sim.schedule_at(rec.arrival, [&driver, rec, &sim] {
-      nvme::IoRequest request;
-      request.type = rec.type;
-      request.lba = rec.lba;
-      request.bytes = rec.bytes;
-      request.arrival = sim.now();
-      driver->submit(request);
-    });
-  }
+  sim.schedule_series(
+      trace.size(),
+      // srclint:capture-ok(the caller's trace outlives the run loop)
+      [&trace](std::size_t i) { return trace[i].arrival; },
+      // srclint:capture-ok(trace, driver and sim all outlive the run loop)
+      [&trace, &driver, &sim](std::size_t i) {
+        const workload::TraceRecord& rec = trace[i];
+        nvme::IoRequest request;
+        request.type = rec.type;
+        request.lba = rec.lba;
+        request.bytes = rec.bytes;
+        request.arrival = sim.now();
+        driver->submit(request);
+      });
 
   if (options.horizon > 0) {
     sim.run_until(options.horizon);

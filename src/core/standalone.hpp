@@ -44,7 +44,8 @@ struct StandaloneOptions {
 /// Horizon matching the trace's arrival span (last arrival time).
 common::SimTime arrival_horizon(const workload::Trace& trace);
 
-/// Run `trace` to completion on a fresh device with the given config.
+/// Run `trace` to completion on a fresh device with the given config. The
+/// trace must be sorted by arrival (std::invalid_argument otherwise).
 StandaloneResult run_standalone(const ssd::SsdConfig& config,
                                 const workload::Trace& trace,
                                 const StandaloneOptions& options = {});

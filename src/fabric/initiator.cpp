@@ -1,5 +1,9 @@
 #include "fabric/initiator.hpp"
 
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "obs/obs.hpp"
 
 namespace src::fabric {
@@ -23,14 +27,23 @@ Initiator::Initiator(net::Network& network, net::NodeId host_id,
 void Initiator::run_trace(const workload::Trace& trace, TargetSelector selector) {
   auto& sim = network_.simulator();
   const common::SimTime base = sim.now();
+  // The selector runs now, once per record in order; the replay keeps its
+  // own copy of the (record, target) list, since the caller's trace may
+  // not outlive the run.
+  auto replay = std::make_shared<
+      std::vector<std::pair<workload::TraceRecord, net::NodeId>>>();
+  replay->reserve(trace.size());
   for (std::size_t i = 0; i < trace.size(); ++i) {
-    const workload::TraceRecord rec = trace[i];
-    const net::NodeId target = selector(rec, i);
-    // srclint:capture-ok(the initiator lives as long as the rig's simulator)
-    sim.schedule_at(base + rec.arrival, [this, rec, target] {
-      issue_or_defer(rec, target);
-    });
+    replay->emplace_back(trace[i], selector(trace[i], i));
   }
+  sim.schedule_series(
+      replay->size(),
+      [replay, base](std::size_t i) { return base + (*replay)[i].first.arrival; },
+      // srclint:capture-ok(the initiator lives as long as the rig's simulator)
+      [this, replay](std::size_t i) {
+        const auto& [rec, target] = (*replay)[i];
+        issue_or_defer(rec, target);
+      });
 }
 
 void Initiator::issue_or_defer(const workload::TraceRecord& rec,

@@ -72,7 +72,9 @@ class Initiator {
   /// Schedule the whole trace for replay; records are issued at their
   /// arrival times (relative to now). With a max-outstanding limit set,
   /// records whose turn arrives while the limit is reached queue locally
-  /// and issue as completions free slots (closed-loop behaviour).
+  /// and issue as completions free slots (closed-loop behaviour). The
+  /// selector runs once per record, in order, before this returns. The
+  /// trace must be sorted by arrival (std::invalid_argument otherwise).
   void run_trace(const workload::Trace& trace, TargetSelector selector);
 
   /// Bound the number of in-flight requests (0 = unlimited, the default

@@ -7,8 +7,9 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
+#include <utility>
 
+#include "common/flat_map.hpp"
 #include "common/types.hpp"
 
 namespace src::nvme {
@@ -32,9 +33,7 @@ class ConsistencyTracker {
                                              std::uint32_t bytes) const {
     const auto [first, last] = page_range(lba, bytes);
     for (std::uint64_t page = first; page <= last; ++page) {
-      if (auto it = pages_.find(page); it != pages_.end()) {
-        return it->second.kind;
-      }
+      if (const PendingPage* pending = pages_.find(page)) return pending->kind;
     }
     return std::nullopt;
   }
@@ -53,9 +52,9 @@ class ConsistencyTracker {
   void note_fetched(std::uint64_t lba, std::uint32_t bytes) {
     const auto [first, last] = page_range(lba, bytes);
     for (std::uint64_t page = first; page <= last; ++page) {
-      auto it = pages_.find(page);
-      if (it == pages_.end()) continue;
-      if (--it->second.count == 0) pages_.erase(it);
+      PendingPage* pending = pages_.find(page);
+      if (pending == nullptr) continue;
+      if (--pending->count == 0) pages_.erase(page);
     }
   }
 
@@ -75,7 +74,7 @@ class ConsistencyTracker {
   }
 
   std::uint64_t page_bytes_;
-  std::unordered_map<std::uint64_t, PendingPage> pages_;
+  common::FlatMap64<PendingPage> pages_;
 };
 
 }  // namespace src::nvme

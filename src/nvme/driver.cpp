@@ -5,7 +5,7 @@ namespace src::nvme {
 void NvmeDriver::dispatch(const IoRequest& request) {
   if (on_dispatch_) on_dispatch_(request);
   const std::uint64_t cmd_id = ++next_command_id_;
-  outstanding_.emplace(cmd_id, request);
+  outstanding_.insert_or_assign(cmd_id, request);
 
   ++in_flight_;
   if (request.type == IoType::kRead) {
@@ -30,9 +30,8 @@ void NvmeDriver::dispatch(const IoRequest& request) {
 
   // srclint:capture-ok(driver and device share the rig's simulator lifetime)
   device_.execute(cmd, [this](const ssd::NvmeCompletion& completion) {
-    const auto it = outstanding_.find(completion.id);
-    const IoRequest original = it->second;
-    outstanding_.erase(it);
+    const IoRequest original = *outstanding_.find(completion.id);
+    outstanding_.erase(completion.id);
 
     --in_flight_;
     if (!completion.ok()) {

@@ -9,8 +9,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 
+#include "common/flat_map.hpp"
 #include "common/latency.hpp"
 #include "common/types.hpp"
 #include "nvme/io_request.hpp"
@@ -45,6 +45,30 @@ struct DriverStats {
                                   static_cast<double>(completed_writes)
                             : 0.0;
   }
+};
+
+/// The device admission gate for one submission queue's front request,
+/// memoised. A closed answer stays valid until now() passes the instant the
+/// device reported (chip free-at times never decrease) or the front's LBA
+/// range changes; only then is the gate evaluated again. Open answers are
+/// never reused: a dispatch at the same instant can close the gate.
+class AdmissionGate {
+ public:
+  bool open(const ssd::SsdDevice& device, const IoRequest& front,
+            common::SimTime now) {
+    if (now <= closed_until_ && front.lba == lba_ && front.bytes == bytes_) {
+      return false;
+    }
+    lba_ = front.lba;
+    bytes_ = front.bytes;
+    closed_until_ = device.admission_closed_until(front.lba, front.bytes);
+    return closed_until_ < now;
+  }
+
+ private:
+  std::uint64_t lba_ = 0;
+  std::uint32_t bytes_ = 0;
+  common::SimTime closed_until_ = -1;
 };
 
 class NvmeDriver {
@@ -114,9 +138,10 @@ class NvmeDriver {
   /// or the queue depth stops it.
   virtual void try_fetch() = 0;
 
-  /// Device admission gate for a queued request.
-  bool admissible(const IoRequest& request) const {
-    return device_.admission_ok(request.lba, request.bytes);
+  /// Device admission gate for the front request of the submission queue
+  /// that owns `gate`.
+  bool admissible(const IoRequest& front, AdmissionGate& gate) const {
+    return gate.open(device_, front, sim_.now());
   }
 
   /// Called by a fetch loop that stalled on the admission gate with work
@@ -148,7 +173,7 @@ class NvmeDriver {
   std::uint32_t in_flight_writes_ = 0;
   std::uint64_t next_command_id_ = 0;
   // Maps command id -> original request for completion reporting.
-  std::unordered_map<std::uint64_t, IoRequest> outstanding_;
+  common::FlatMap64<IoRequest> outstanding_;
 };
 
 }  // namespace src::nvme

@@ -23,7 +23,7 @@ class FifoDriver final : public NvmeDriver {
 
   void try_fetch() override {
     while (!queue_.empty() && in_flight() < queue_depth()) {
-      if (!admissible(queue_.front())) {
+      if (!admissible(queue_.front(), gate_)) {
         schedule_admission_retry();
         return;
       }
@@ -34,6 +34,7 @@ class FifoDriver final : public NvmeDriver {
   }
 
   std::deque<IoRequest> queue_;
+  AdmissionGate gate_;
 };
 
 }  // namespace src::nvme

@@ -101,7 +101,7 @@ class NvmePriorityDriver final : public NvmeDriver {
 
   bool fetch_from(std::size_t klass) {
     auto& queue = queues_[klass];
-    if (queue.empty() || !admissible(queue.front())) return false;
+    if (queue.empty() || !admissible(queue.front(), gates_[klass])) return false;
     IoRequest request = std::move(queue.front());
     queue.pop_front();
     ++stats_.fetched[klass];
@@ -154,8 +154,10 @@ class NvmePriorityDriver final : public NvmeDriver {
       reset_credits();
       // Guard: if work exists but nothing is admissible, retry later.
       bool any_admissible = false;
-      for (const auto& queue : queues_) {
-        if (!queue.empty() && admissible(queue.front())) any_admissible = true;
+      for (std::size_t k = 0; k < kNvmePriorityClasses; ++k) {
+        if (!queues_[k].empty() && admissible(queues_[k].front(), gates_[k])) {
+          any_admissible = true;
+        }
       }
       if (!any_admissible) {
         stalled_with_work = true;
@@ -172,6 +174,7 @@ class NvmePriorityDriver final : public NvmeDriver {
   PriorityDriverParams params_;
   Classifier classify_;
   std::array<std::deque<IoRequest>, kNvmePriorityClasses> queues_;
+  std::array<AdmissionGate, kNvmePriorityClasses> gates_;
   std::array<std::uint32_t, kNvmePriorityClasses> credits_{};
   PriorityDriverStats stats_;
 };

@@ -125,14 +125,14 @@ class SsqDriver final : public NvmeDriver {
   // non-preemptive, so over-admitting reads while writes merely *pause*
   // would let stale read backlogs starve later writes and defeat the
   // throughput control.
-  bool queue_eligible(QueueKind kind) const {
+  bool queue_eligible(QueueKind kind) {
     if (kind == QueueKind::kReadQueue) {
       if (rsq_.empty()) return false;
-      if (!admissible(rsq_.front())) return false;
+      if (!admissible(rsq_.front(), rsq_gate_)) return false;
       return in_flight_reads() < qd_cap_read_ || wsq_.empty();
     }
     if (wsq_.empty()) return false;
-    if (!admissible(wsq_.front())) return false;
+    if (!admissible(wsq_.front(), wsq_gate_)) return false;
     return in_flight_writes() < qd_cap_write_ || rsq_.empty();
   }
 
@@ -208,6 +208,8 @@ class SsqDriver final : public NvmeDriver {
 
   std::deque<IoRequest> rsq_;
   std::deque<IoRequest> wsq_;
+  AdmissionGate rsq_gate_;
+  AdmissionGate wsq_gate_;
   ConsistencyTracker consistency_;
   std::uint32_t read_weight_ = 1;
   std::uint32_t write_weight_ = 1;

@@ -6,7 +6,8 @@
 
 #include <cstdint>
 #include <list>
-#include <unordered_map>
+
+#include "common/flat_map.hpp"
 
 namespace src::ssd {
 
@@ -18,8 +19,8 @@ class CachedMappingTable {
   /// Touch the mapping entry for a logical page. Returns true on hit;
   /// on a miss the entry is installed (evicting LRU if full).
   bool access(std::uint64_t logical_page) {
-    if (auto it = index_.find(logical_page); it != index_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second);
+    if (const auto* node = index_.find(logical_page)) {
+      lru_.splice(lru_.begin(), lru_, *node);
       ++hits_;
       return true;
     }
@@ -46,7 +47,7 @@ class CachedMappingTable {
  private:
   std::uint64_t capacity_;
   std::list<std::uint64_t> lru_;
-  std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator> index_;
+  common::FlatMap64<std::list<std::uint64_t>::iterator> index_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
 };

@@ -81,16 +81,22 @@ bool SsdDevice::run_gc_once(SimTime ready) {
   return true;
 }
 
-bool SsdDevice::admission_ok(std::uint64_t lba, std::uint32_t bytes) const {
+SimTime SsdDevice::admission_closed_until(std::uint64_t lba,
+                                          std::uint32_t bytes) const {
   const std::uint64_t base = first_page(lba);
   const std::uint32_t pages = page_count(lba, bytes);
   const SimTime window = cfg_.admission_window();
+  const SimTime now = sim_.now();
+  SimTime until = now - 1;  // open
   for (std::uint32_t i = 0; i < pages; ++i) {
-    if (backend_.chip_backlog(backend_.place(base + i), sim_.now()) >= window) {
-      return false;
-    }
+    const SimTime backlog = backend_.chip_backlog(backend_.place(base + i), now);
+    if (backlog < window) continue;
+    // Blocked until the backlog shrinks below the window: at free_at -
+    // window. A window of zero or less blocks for good.
+    until = std::max(until, window > 0 ? now + backlog - window
+                                       : common::kTimeInfinity);
   }
-  return true;
+  return until;
 }
 
 void SsdDevice::execute(const NvmeCommand& cmd, CompletionFn on_complete) {
@@ -134,7 +140,7 @@ void SsdDevice::execute_read(const NvmeCommand& cmd, CompletionFn on_complete) {
   bool all_cached = true;
   for (std::uint32_t i = 0; i < pages; ++i) {
     const std::uint64_t page = base + i;
-    if (dirty_pages_.contains(page)) {
+    if (dirty_pages_.find(page) != nullptr) {
       // Served from the DRAM write cache.
       ++stats_.cache_read_hits;
       finish = std::max(finish, ready + cfg_.dram_bandwidth.transmission_time(cfg_.page_bytes));
@@ -173,7 +179,7 @@ void SsdDevice::execute_write(const NvmeCommand& cmd, CompletionFn on_complete) 
     // Burst absorption: land in DRAM, acknowledge at DRAM speed, and drain
     // to flash in the background.
     cache_used_ += footprint;
-    for (std::uint32_t i = 0; i < pages; ++i) dirty_pages_.insert(base + i);
+    for (std::uint32_t i = 0; i < pages; ++i) dirty_pages_[base + i] = true;
 
     DirtyEntry entry;
     entry.first_page = base;

@@ -19,8 +19,8 @@
 #include <deque>
 #include <memory>
 #include <functional>
-#include <unordered_set>
 
+#include "common/flat_map.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "sim/simulator.hpp"
@@ -64,11 +64,16 @@ class SsdDevice {
 
   const SsdConfig& config() const { return cfg_; }
 
-  /// Admission control: true when every chip the command touches has less
-  /// backlog than the configured admission window. Drivers hold commands in
-  /// their submission queues until this passes, so fetch arbitration (WRR)
-  /// — not unbounded internal queues — decides how flash time is shared.
-  bool admission_ok(std::uint64_t lba, std::uint32_t bytes) const;
+  /// Admission control: a command is admitted when every chip it touches
+  /// has less backlog than the configured admission window. Drivers hold
+  /// commands in their submission queues until then, so fetch arbitration
+  /// (WRR) — not unbounded internal queues — decides how flash time is
+  /// shared. Returns the last instant through which the gate stays closed
+  /// for this command, or a time before now() when it is open now. Chip
+  /// free-at times never decrease, so a closed answer holds until that
+  /// instant whatever the device does meanwhile.
+  common::SimTime admission_closed_until(std::uint64_t lba,
+                                         std::uint32_t bytes) const;
   const SsdStats& stats() const { return stats_; }
   std::uint64_t cache_used_bytes() const { return cache_used_; }
   double cmt_hit_ratio() const { return cmt_.hit_ratio(); }
@@ -153,7 +158,9 @@ class SsdDevice {
   // Write cache state.
   std::uint64_t cache_used_ = 0;
   std::deque<DirtyEntry> dirty_;          ///< FIFO of cache entries to drain
-  std::unordered_set<std::uint64_t> dirty_pages_;  ///< for read hits
+  /// Pages held by any cache entry, for read hits. A set: a rewrite of a
+  /// cached page adds nothing, and the first entry to drain removes it.
+  common::FlatMap64<bool> dirty_pages_;
   std::uint32_t drain_in_flight_ = 0;
 
   // Log-structured FTL (present only when cfg_.enable_gc).

@@ -300,6 +300,22 @@ TEST(SrclintR9, FiresOnRefAndThisCapturesIncludingWrappers) {
             }));
 }
 
+TEST(SrclintR9, KernelSeriesAndScheduleInAreSeedSchedulers) {
+  const std::string path = fixture("r9_series_bad.cpp");
+  const RunResult r = run_srclint("--rules R9 " + path);
+  EXPECT_EQ(r.exit_code, 1);
+  const std::string msg =
+      " captures by reference — the callback runs later, from the event "
+      "loop, and may outlive the captured frame; capture by value or justify "
+      "the lifetime with srclint:capture-ok(<reason>)";
+  EXPECT_EQ(r.output,
+            joined({
+                path + ":16: R9: lambda passed to scheduler 'schedule_series'" +
+                    msg,
+                path + ":17: R9: lambda passed to scheduler 'schedule_in'" + msg,
+            }));
+}
+
 TEST(SrclintR9, SilentOnByValueCopiesAndJustifiedCaptures) {
   const RunResult r = run_srclint("--rules R9 " + fixture("r9_clean.cpp"));
   EXPECT_EQ(r.exit_code, 0);

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <set>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "ssd/device.hpp"
 
 namespace src::nvme {
@@ -188,6 +191,80 @@ TEST(SsqDriverTest, HigherWriteWeightShiftsThroughputTowardWrites) {
   const double write_share_1 = static_cast<double>(w1) / static_cast<double>(r1 + w1);
   const double write_share_8 = static_cast<double>(w8) / static_cast<double>(r8 + w8);
   EXPECT_GT(write_share_8, write_share_1);
+}
+
+// Differential check of the memoised admission gate on a saturated SSQ run
+// with the real (default) admission window: after every event, each
+// submission queue's front is put to a long-lived AdmissionGate and to a
+// fresh device evaluation, and the answers must agree. With consistency
+// checking off every request sits in its natural queue, so the test mirrors
+// both queues from the submit probe and the dispatch handler. A third,
+// probe request changes its LBA range at random moments (a front change
+// while the memo may hold a closed answer), every check is repeated on a
+// brand-new gate (the evaluation path), and whenever the gate is closed
+// until U, no-op events at U and U + 1 make the run stop exactly on the
+// boundary.
+TEST(SsqDriverTest, CachedAdmissionGateMatchesFreshEvaluation) {
+  Harness h(ssd::ssd_a(), 1, 4);
+  h.driver.set_consistency_checking(false);
+  std::deque<IoRequest> mirror[2];
+  h.driver.set_submit_probe([&mirror](const IoRequest& r) {
+    mirror[r.type == IoType::kRead ? 0 : 1].push_back(r);
+  });
+  h.driver.set_dispatch_handler([&mirror](const IoRequest& r) {
+    std::deque<IoRequest>& queue = mirror[r.type == IoType::kRead ? 0 : 1];
+    ASSERT_FALSE(queue.empty());
+    EXPECT_EQ(queue.front().id, r.id);
+    queue.pop_front();
+  });
+  common::Rng rng(7);
+  const auto random_request = [&rng, &h](std::uint64_t id) {
+    const IoType type = rng.bernoulli(0.5) ? IoType::kRead : IoType::kWrite;
+    const std::uint64_t lba = rng.uniform_index(1u << 20) * 4096;
+    const auto bytes = static_cast<std::uint32_t>(4096 * (1 + rng.uniform_index(12)));
+    return h.make(id, type, lba, bytes);
+  };
+  for (std::uint64_t i = 0; i < 4000; ++i) {
+    const IoRequest request = random_request(i);
+    h.sim.schedule_at(static_cast<common::SimTime>(i) * 2 * common::kMicrosecond,
+                      [&h, request] {
+                        h.driver.submit(h.make(request.id, request.type,
+                                               request.lba, request.bytes));
+                      });
+  }
+  AdmissionGate gates[3];
+  IoRequest probe = random_request(0);
+  std::set<common::SimTime> boundaries;
+  std::uint64_t calls = 0;
+  std::uint64_t closed = 0;
+  while (h.sim.step()) {
+    const common::SimTime now = h.sim.now();
+    if (rng.uniform_index(8) == 0) probe = random_request(0);
+    const IoRequest* fronts[3] = {mirror[0].empty() ? nullptr : &mirror[0].front(),
+                                  mirror[1].empty() ? nullptr : &mirror[1].front(),
+                                  &probe};
+    for (std::size_t q = 0; q < 3; ++q) {
+      if (fronts[q] == nullptr) continue;
+      const IoRequest& front = *fronts[q];
+      const common::SimTime until =
+          h.device.admission_closed_until(front.lba, front.bytes);
+      const bool fresh = until < now;
+      ASSERT_EQ(gates[q].open(h.device, front, now), fresh)
+          << "gate " << q << " at t=" << now;
+      ASSERT_EQ(AdmissionGate{}.open(h.device, front, now), fresh)
+          << "new gate " << q << " at t=" << now;
+      ++calls;
+      if (fresh) continue;
+      ++closed;
+      if (boundaries.insert(until).second) {
+        h.sim.schedule_at(until, [] {});
+        h.sim.schedule_at(until + 1, [] {});
+      }
+    }
+  }
+  EXPECT_EQ(h.completed.size(), 4000u);
+  EXPECT_GT(calls, 10'000u);
+  EXPECT_GT(closed, calls / 10);  // the gate really was the bottleneck
 }
 
 }  // namespace

@@ -6,6 +6,9 @@
 //   SRC_UPDATE_GOLDEN=1 ctest -L regression
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "core/standalone.hpp"
 #include "scenario.hpp"
 
@@ -43,6 +46,31 @@ TEST(GoldenMetrics, Fig5WeightSweep) {
     snap.set(key, std::move(point));
   }
   check_against_golden("fig5", snap);
+}
+
+// The TPM training set: every (trace, w) cell of a reduced default grid
+// replayed on the standalone SSD + SSQ rig. The digest is FNV-1a over the
+// feature matrix followed by each row's (read, write) labels, so any change
+// to the storage replay path that moves one completion instant shows here.
+TEST(GoldenMetrics, TrainingDatasetDigest) {
+  const ml::Dataset data = core::collect_training_data(
+      ssd::ssd_a(), core::default_training_grid(600, 11));
+  ASSERT_EQ(data.size(), 480u);
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](double v) {
+    unsigned char bytes[sizeof v];
+    std::memcpy(bytes, &v, sizeof v);
+    for (const unsigned char b : bytes) {
+      h ^= b;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const double x : data.features()) mix(x);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    mix(data.target(i, 0));
+    mix(data.target(i, 1));
+  }
+  EXPECT_EQ(h, 17945008423636768014ull);
 }
 
 TEST(GoldenMetrics, Fig7VdiDcqcnOnly) {

@@ -249,6 +249,51 @@ TEST(LaneGroupTest, SkewedLoadRebalancesWithoutChangingResults) {
   }
 }
 
+// A trace-replay series on every shard, whose items post cross-shard mail:
+// results, event counts and window counts are the same at lanes 1, 2 and 4.
+TEST(LaneGroupTest, SeriesOnShardsIsLaneCountInvariant) {
+  constexpr std::size_t kShards = 4;
+  constexpr SimTime kHop = 7;
+  std::vector<std::uint64_t> want_digest;
+  std::uint64_t want_events = 0;
+  std::uint64_t want_windows = 0;
+  for (const std::size_t lane_count : {1u, 2u, 4u}) {
+    LaneGroup lanes(kShards, lane_count);
+    lanes.set_lookahead(kHop);
+    // Per-shard order-sensitive digests, each written only by its shard.
+    std::vector<std::uint64_t> digest(kShards, 0);
+    auto fold = [&digest](std::size_t at, std::uint64_t value) {
+      digest[at] = digest[at] * 1099511628211ull ^ value;
+    };
+    for (std::size_t s = 0; s < kShards; ++s) {
+      Simulator& k = lanes.kernel(s);
+      k.schedule_series(
+          500,
+          [s](std::size_t i) { return static_cast<SimTime>(i * (s + 1) / 2); },
+          [&lanes, &fold, &k, s](std::size_t i) {
+            fold(s, i + static_cast<std::uint64_t>(k.now()));
+            const std::size_t dst = (s + 1 + i % (kShards - 1)) % kShards;
+            lanes.post(s, dst, k.now() + kHop + static_cast<SimTime>(i % 3),
+                       Simulator::Callback([&fold, dst, i] { fold(dst, i * 31); }));
+          });
+    }
+    lanes.run_until(300);
+    lanes.run_until(common::kSecond);
+    ASSERT_TRUE(lanes.drained());
+    if (lane_count == 1) {
+      want_digest = digest;
+      want_events = lanes.executed_events();
+      want_windows = lanes.windows_executed();
+      EXPECT_EQ(want_events, 2u * kShards * 500);
+      continue;
+    }
+    EXPECT_EQ(digest, want_digest) << "lane_count=" << lane_count;
+    EXPECT_EQ(lanes.executed_events(), want_events) << "lane_count=" << lane_count;
+    EXPECT_EQ(lanes.windows_executed(), want_windows)
+        << "lane_count=" << lane_count;
+  }
+}
+
 // Mail posted in the last window before the deadline lands beyond it; it
 // must already sit in the destination kernels when run_until returns, and
 // fire exactly once on the next call.

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <functional>
+#include <stdexcept>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -214,6 +217,147 @@ TEST(SimulatorTest, ManyEventsStressOrdering) {
   sim.run();
   EXPECT_TRUE(monotonic);
   EXPECT_EQ(sim.executed_events(), 20'000u);
+}
+
+TEST(SimulatorTest, SeriesHoldsOneCalendarEntryAndRunsInOrder) {
+  Simulator sim;
+  std::vector<std::size_t> fired;
+  sim.schedule_series(
+      1000, [](std::size_t i) { return static_cast<SimTime>(i / 3); },
+      [&](std::size_t i) {
+        EXPECT_EQ(sim.now(), static_cast<SimTime>(i / 3));
+        fired.push_back(i);
+      });
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_EQ(sim.slot_count(), 1u);
+  sim.run();
+  ASSERT_EQ(fired.size(), 1000u);
+  for (std::size_t i = 0; i < fired.size(); ++i) EXPECT_EQ(fired[i], i);
+  EXPECT_EQ(sim.executed_events(), 1000u);
+  EXPECT_EQ(sim.slot_count(), 1u);
+}
+
+TEST(SimulatorTest, SeriesRejectsDecreasingTimes) {
+  Simulator sim;
+  bool fired = false;
+  EXPECT_THROW(sim.schedule_series(
+                   3, [](std::size_t i) { return i == 1 ? SimTime{5} : SimTime{10}; },
+                   [&](std::size_t) { fired = true; }),
+               std::invalid_argument);
+  EXPECT_TRUE(sim.empty());
+  sim.run();
+  EXPECT_FALSE(fired);
+  EXPECT_EQ(sim.executed_events(), 0u);
+}
+
+TEST(SimulatorTest, EmptySeriesIsANoOp) {
+  Simulator sim;
+  sim.schedule_series(
+      0, [](std::size_t) -> SimTime { throw std::logic_error("at called"); },
+      [](std::size_t) { throw std::logic_error("fire called"); });
+  EXPECT_TRUE(sim.empty());
+  EXPECT_EQ(sim.slot_count(), 0u);
+  sim.run();
+  EXPECT_EQ(sim.executed_events(), 0u);
+}
+
+// One logged firing: series streams log their index >= 0, plain events and
+// the events they spawn log negative kinds.
+struct Fired {
+  SimTime at;
+  int stream;
+  std::size_t item;
+  friend bool operator==(const Fired&, const Fired&) = default;
+};
+
+struct MixRun {
+  std::vector<Fired> log;
+  std::uint64_t executed = 0;
+  SimTime end = 0;
+};
+
+// A random schedule mix on one kernel: plain events, three series scheduled
+// before the run and three more scheduled mid-run by plain events (some of
+// whose times are already past, so they clamp), all on a 4 ns grid so
+// `when` ties between series items and plain events are common. Series
+// items and plain events schedule further events at the same or a later
+// instant, and some plain events cancel others. With `as_series` false
+// every series item is instead its own schedule_at call, made at the same
+// moment the series would have been scheduled.
+MixRun run_mix(std::uint64_t seed, bool as_series) {
+  constexpr std::size_t kStreams = 6;  // 0-2 up front, 3-5 mid-run
+  constexpr std::size_t kPlain = 40;
+  common::Rng rng(seed);
+  const auto grid_time = [&rng] {
+    return static_cast<SimTime>(rng.uniform_index(50) * 4);
+  };
+  std::vector<std::vector<SimTime>> streams(kStreams);
+  for (std::vector<SimTime>& times : streams) {
+    times.resize(rng.uniform_index(40));
+    for (SimTime& t : times) t = grid_time();
+    std::sort(times.begin(), times.end());
+  }
+  std::vector<SimTime> plain_at(kPlain);
+  for (SimTime& t : plain_at) t = grid_time();
+
+  Simulator sim;
+  MixRun out;
+  const auto add_stream = [&](std::size_t s) {
+    const std::vector<SimTime>& times = streams[s];
+    const auto fire = [&sim, &out, s](std::size_t i) {
+      out.log.push_back({sim.now(), static_cast<int>(s), i});
+      if (i % 5 == 0) {
+        sim.schedule_at(sim.now(), [&sim, &out, s, i] {
+          out.log.push_back({sim.now(), -3 - static_cast<int>(s), i});
+        });
+      }
+    };
+    if (as_series) {
+      sim.schedule_series(
+          times.size(), [&times](std::size_t i) { return times[i]; }, fire);
+    } else {
+      for (std::size_t i = 0; i < times.size(); ++i) {
+        sim.schedule_at(times[i], [fire, i] { fire(i); });
+      }
+    }
+  };
+  std::vector<EventId> plain_ids(kPlain);
+  for (std::size_t p = 0; p < kPlain; ++p) {
+    if (p == 10) add_stream(0);
+    if (p == 20) {
+      add_stream(1);
+      add_stream(2);
+    }
+    plain_ids[p] = sim.schedule_at(plain_at[p], [&, p] {
+      out.log.push_back({sim.now(), -1, p});
+      if (p == 5) add_stream(3);
+      if (p == 17) add_stream(4);
+      if (p == 33) add_stream(5);
+      if (p % 7 == 0 && p + 1 < kPlain) sim.cancel(plain_ids[p + 1]);
+      if (p % 4 == 1) {
+        sim.schedule_in(static_cast<SimTime>(p % 3) * 4, [&sim, &out, p] {
+          out.log.push_back({sim.now(), -2, p});
+        });
+      }
+    });
+  }
+  sim.run_until(60);
+  sim.run_until(130);
+  sim.run();
+  out.executed = sim.executed_events();
+  out.end = sim.now();
+  return out;
+}
+
+TEST(SimulatorTest, SeriesExecutesExactlyLikeOneScheduleAtPerItem) {
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    const MixRun series = run_mix(seed, true);
+    const MixRun plain = run_mix(seed, false);
+    ASSERT_FALSE(plain.log.empty());
+    ASSERT_EQ(series.log, plain.log) << "seed " << seed;
+    EXPECT_EQ(series.executed, plain.executed) << "seed " << seed;
+    EXPECT_EQ(series.end, plain.end) << "seed " << seed;
+  }
 }
 
 }  // namespace

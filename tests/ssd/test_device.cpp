@@ -86,14 +86,23 @@ TEST(SsdDeviceTest, CachePressureFallsBackToSyncWrites) {
 
 TEST(SsdDeviceTest, AdmissionGateReflectsBacklog) {
   Harness h;
-  EXPECT_TRUE(h.device.admission_ok(0, 16384));
+  EXPECT_LT(h.device.admission_closed_until(0, 16384), h.sim.now());  // open
   // Pile synchronous work on every chip until the window is exceeded.
   for (std::uint64_t i = 0; i < 400; ++i) {
     h.run(h.cmd(i, IoType::kRead, i * 16384, 16384));
   }
-  EXPECT_FALSE(h.device.admission_ok(0, 16384));
+  const SimTime until = h.device.admission_closed_until(0, 16384);
+  EXPECT_GE(until, h.sim.now());  // closed
+  // No new flash work arrives, so the gate stays closed through `until`
+  // and opens one nanosecond later.
+  h.sim.schedule_at(until, [&h, until] {
+    EXPECT_EQ(h.device.admission_closed_until(0, 16384), until);
+  });
+  h.sim.schedule_at(until + 1, [&h, until] {
+    EXPECT_LT(h.device.admission_closed_until(0, 16384), until + 1);
+  });
   h.sim.run();
-  EXPECT_TRUE(h.device.admission_ok(0, 16384));
+  EXPECT_LT(h.device.admission_closed_until(0, 16384), h.sim.now());
 }
 
 TEST(SsdDeviceTest, ReadHitsDirtyCachePage) {

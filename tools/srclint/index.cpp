@@ -1,5 +1,6 @@
 #include "index.hpp"
 
+#include <algorithm>
 #include <array>
 
 namespace srclint {
@@ -287,7 +288,9 @@ std::vector<Token> strip_preprocessor(const std::vector<Token>& tokens) {
 SymbolIndex build_index(const std::vector<LexedFile>& files,
                         bool scope_by_dir) {
   SymbolIndex index;
-  index.scheduler_functions = {"schedule", "schedule_at", "schedule_after"};
+  for (const std::string_view seed : kSchedulerSeeds) {
+    index.scheduler_functions.emplace(seed);
+  }
 
   for (const LexedFile& file : files) {
     const std::vector<Token> toks = strip_preprocessor(file.tokens);
@@ -380,8 +383,8 @@ SymbolIndex build_index(const std::vector<LexedFile>& files,
       // function definition (lambda bodies attribute to their function).
       if (seeds_wrappers && is_ident(t) && i + 1 < toks.size() &&
           is_punct(toks[i + 1], "(") &&
-          (t.text == "schedule" || t.text == "schedule_at" ||
-           t.text == "schedule_after")) {
+          std::find(kSchedulerSeeds.begin(), kSchedulerSeeds.end(), t.text) !=
+              kSchedulerSeeds.end()) {
         for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
           if (it->kind == Scope::kFunction) {
             if (!it->name.empty()) {

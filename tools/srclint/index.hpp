@@ -8,8 +8,8 @@
 //   - names declared anywhere with a floating-point type (R7 feeds
 //     `==`/`!=` and reduction checks from it);
 //   - functions whose bodies call the simulator scheduling API directly
-//     (`schedule` / `schedule_at` / `schedule_after`) — R9 treats a
-//     lambda passed to any of them as a deferred callback, cross-TU.
+//     (kSchedulerSeeds) — R9 treats a lambda passed to any of them as a
+//     deferred callback, cross-TU.
 //
 // The scanner is token-level and heuristic by design: it tracks a scope
 // stack (namespace / type / function / block), classifies every `{` from
@@ -18,13 +18,22 @@
 // declarators are skipped, never guessed at.
 #pragma once
 
+#include <array>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
 #include "lexer.hpp"
 
 namespace srclint {
+
+/// The event kernel's scheduling calls (`sim::Simulator::schedule_at`,
+/// `schedule_in`, `schedule_series`) plus the generic `schedule`: each
+/// defers the callables it is handed. They seed R9's scheduler set and are
+/// among R3's mutating calls.
+inline constexpr std::array<std::string_view, 4> kSchedulerSeeds = {
+    "schedule", "schedule_at", "schedule_in", "schedule_series"};
 
 /// Storage class of an indexed object (R8 inventory vocabulary).
 enum class Storage {
@@ -62,9 +71,9 @@ struct SymbolIndex {
   /// files. Non-member float names are collected per file by R7.
   std::unordered_set<std::string> float_names;
 
-  /// Functions whose bodies call `schedule(` / `schedule_at(` /
-  /// `schedule_after(` directly. Seeded with those three names, so the
-  /// set is usable as "calls that defer their lambda argument".
+  /// Functions whose bodies call one of kSchedulerSeeds directly. Seeded
+  /// with those names, so the set is usable as "calls that defer their
+  /// lambda argument".
   std::unordered_set<std::string> scheduler_functions;
 };
 

@@ -28,13 +28,13 @@ const std::unordered_set<std::string> kExprKeywords = {
 /// R3: member calls that mutate simulation state (scheduling, container
 /// mutation, RNG consumption).
 const std::unordered_set<std::string> kMutatingApis = {
-    "schedule",     "schedule_at", "schedule_after", "cancel",
-    "push_back",    "pop_front",   "pop_back",       "emplace",
-    "emplace_back", "insert",      "erase",          "clear",
-    "reset",        "resize",      "fork",           "next_u64",
-    "uniform",      "uniform_index", "exponential",  "normal",
-    "lognormal_mean_scv", "bernoulli", "set_tracing", "advance",
-    "run",          "stop"};
+    "schedule",     "schedule_at",   "schedule_in",  "schedule_series",
+    "cancel",       "push_back",     "pop_front",    "pop_back",
+    "emplace",      "emplace_back",  "insert",       "erase",
+    "clear",        "reset",         "resize",       "fork",
+    "next_u64",     "uniform",       "uniform_index", "exponential",
+    "normal",       "lognormal_mean_scv", "bernoulli", "set_tracing",
+    "advance",      "run",           "stop"};
 
 const std::unordered_set<std::string> kMutatingPunct = {
     "=",  "+=", "-=", "*=", "/=", "%=", "&=",

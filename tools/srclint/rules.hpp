@@ -30,9 +30,9 @@
 //                annotated inventory is what the pod-scale sharding
 //                refactor consumes.
 //   R9 [capture] lambdas passed to the scheduling API (schedule /
-//                schedule_at / schedule_after, or any indexed function
-//                that calls them directly) must not capture by reference
-//                or capture raw `this` without a
+//                schedule_at / schedule_in / schedule_series, or any
+//                indexed function that calls them directly) must not
+//                capture by reference or capture raw `this` without a
 //                `srclint:capture-ok(<lifetime justification>)`.
 #pragma once
 
