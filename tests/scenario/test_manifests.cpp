@@ -36,8 +36,8 @@ TEST_P(CheckedInManifest, ParsesAndReserializesToAFixedPoint) {
 
 INSTANTIATE_TEST_SUITE_P(
     Examples, CheckedInManifest, ::testing::ValuesIn(manifest_paths()),
-    [](const ::testing::TestParamInfo<std::string>& info) {
-      std::string name = std::filesystem::path(info.param).stem().string();
+    [](const ::testing::TestParamInfo<std::string>& param_info) {
+      std::string name = std::filesystem::path(param_info.param).stem().string();
       const auto not_alnum = [](char c) {
         return !std::isalnum(static_cast<unsigned char>(c));
       };
