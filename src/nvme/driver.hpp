@@ -65,6 +65,18 @@ class AdmissionGate {
     return closed_until_ < now;
   }
 
+  /// First instant the cached closed answer for `front` may turn open:
+  /// closed_until + 1. kTimeInfinity when no closed answer for this front
+  /// holds at `now` (the last answer was open), or when the gate never
+  /// reopens.
+  common::SimTime reopens_at(const IoRequest& front, common::SimTime now) const {
+    if (now > closed_until_ || front.lba != lba_ || front.bytes != bytes_ ||
+        closed_until_ == common::kTimeInfinity) {
+      return common::kTimeInfinity;
+    }
+    return closed_until_ + 1;
+  }
+
  private:
   std::uint64_t lba_ = 0;
   std::uint32_t bytes_ = 0;
@@ -120,6 +132,11 @@ class NvmeDriver {
   const DriverStats& stats() const { return stats_; }
   std::uint32_t queue_depth() const { return device_.config().queue_depth; }
 
+  /// Instant of the pending admission wake-up; kTimeInfinity when none.
+  common::SimTime next_wake() const {
+    return wake_.valid() ? wake_time_ : common::kTimeInfinity;
+  }
+
   /// Deterministic lane id for the event tracer (set by the owning target:
   /// node id and device index). Purely observational.
   void set_trace_lane(std::uint32_t lane) { trace_lane_ = lane; }
@@ -144,14 +161,22 @@ class NvmeDriver {
     return gate.open(device_, front, sim_.now());
   }
 
-  /// Called by a fetch loop that stalled on the admission gate with work
-  /// still queued: re-runs try_fetch shortly. At most one retry pending.
-  void schedule_admission_retry() {
-    if (retry_pending_) return;
-    retry_pending_ = true;
+  /// Called by a fetch loop that stalled with work still queued: re-runs
+  /// try_fetch at `at`, the earliest `reopens_at` over the gates that
+  /// refused a front. Nothing is scheduled when no gate will reopen
+  /// (kTimeInfinity) or the queue depth is full: a stall on the depth or a
+  /// per-type cap ends with a completion, which re-runs try_fetch itself.
+  /// At most one wake is pending; a sooner instant moves it earlier.
+  void wake_at(common::SimTime at) {
+    if (at == common::kTimeInfinity || in_flight_ >= queue_depth()) return;
+    if (wake_.valid()) {
+      if (wake_time_ <= at) return;
+      sim_.cancel(wake_);
+    }
+    wake_time_ = at;
     // srclint:capture-ok(driver and simulator share the rig lifetime)
-    sim_.schedule_in(kAdmissionRetryDelay, [this] {
-      retry_pending_ = false;
+    wake_ = sim_.schedule_at(at, [this] {
+      wake_ = {};
       try_fetch();
     });
   }
@@ -159,15 +184,14 @@ class NvmeDriver {
   sim::Simulator& sim_;
   ssd::SsdDevice& device_;
 
-  static constexpr common::SimTime kAdmissionRetryDelay = 20 * common::kMicrosecond;
-
  private:
   CompletionFn on_complete_;
   DispatchFn on_dispatch_;
   SubmitFn on_submit_;
   DriverStats stats_;
   std::uint32_t trace_lane_ = 0;
-  bool retry_pending_ = false;
+  sim::EventId wake_;  ///< pending admission wake-up, if any
+  common::SimTime wake_time_ = 0;
   std::uint32_t in_flight_ = 0;
   std::uint32_t in_flight_reads_ = 0;
   std::uint32_t in_flight_writes_ = 0;

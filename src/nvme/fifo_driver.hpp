@@ -24,7 +24,7 @@ class FifoDriver final : public NvmeDriver {
   void try_fetch() override {
     while (!queue_.empty() && in_flight() < queue_depth()) {
       if (!admissible(queue_.front(), gate_)) {
-        schedule_admission_retry();
+        wake_at(gate_.reopens_at(queue_.front(), sim_.now()));
         return;
       }
       IoRequest request = std::move(queue_.front());

@@ -30,6 +30,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <new>
 #include <stdexcept>
@@ -190,8 +191,28 @@ class Simulator {
   std::size_t cancelled_pending() const { return cancelled_pending_; }
 
   /// Execute the next non-cancelled event. Returns false when drained.
-  bool step() {
-    while (heap_size_ > 0) {
+  bool step() { return step_until(std::numeric_limits<SimTime>::max()); }
+
+  /// Run until the calendar drains or the clock passes `deadline`.
+  /// Events scheduled exactly at `deadline` still execute; no event after
+  /// it does.
+  void run_until(SimTime deadline) {
+    while (step_until(deadline)) {}
+    if (now_ < deadline && heap_size_ == 0) now_ = deadline;
+  }
+
+  /// Run until the calendar drains completely.
+  void run() {
+    while (step()) {}
+  }
+
+ private:
+  /// Execute the next non-cancelled event due by `deadline`, reclaiming
+  /// cancelled entries on the way. Returns false when none is due.
+  bool step_until(SimTime deadline) {
+    // The deadline is checked before every pop, so a cancelled entry at the
+    // top is reclaimed without running a live event that lies past it.
+    while (heap_size_ > 0 && static_cast<SimTime>(heap_[0].when) <= deadline) {
 #if defined(__GNUC__)
       {
         // Start pulling the top event's slot in while the sift-down walks
@@ -227,21 +248,6 @@ class Simulator {
     return false;
   }
 
-  /// Run until the calendar drains or the clock passes `deadline`.
-  /// Events scheduled exactly at `deadline` still execute.
-  void run_until(SimTime deadline) {
-    while (heap_size_ > 0 && static_cast<SimTime>(heap_[0].when) <= deadline) {
-      if (!step()) break;
-    }
-    if (now_ < deadline && heap_size_ == 0) now_ = deadline;
-  }
-
-  /// Run until the calendar drains completely.
-  void run() {
-    while (step()) {}
-  }
-
- private:
   // The packed key splits 64 bits between the globally-unique sequence
   // number (high) and the arena slot (low); comparing keys compares
   // sequence numbers, so tie order is exactly insertion order.

@@ -114,5 +114,82 @@ TEST(FifoDriverTest, InFlightTypeCounters) {
   EXPECT_EQ(h.driver.in_flight_writes(), 0u);
 }
 
+// The gated rig: ssd_a's own admission window, and every read on one
+// page, so one chip's backlog is all that holds the queue front back.
+struct GatedRig {
+  static constexpr std::uint32_t kBytes = 16384;
+  sim::Simulator sim;
+  ssd::SsdDevice device{sim, ssd::ssd_a(), 1};
+  FifoDriver driver{sim, device};
+  std::uint64_t completions = 0;
+  std::vector<common::SimTime> dispatched;
+
+  GatedRig() {
+    driver.set_completion_handler(
+        [this](const IoRequest&, const ssd::NvmeCompletion&) { ++completions; });
+    driver.set_dispatch_handler(
+        [this](const IoRequest&) { dispatched.push_back(sim.now()); });
+  }
+
+  void submit_reads(std::uint64_t n) {
+    for (std::uint64_t i = 0; i < n; ++i) {
+      IoRequest r;
+      r.id = i;
+      r.type = IoType::kRead;
+      r.lba = 0;
+      r.bytes = kBytes;
+      r.arrival = sim.now();
+      driver.submit(r);
+    }
+  }
+};
+
+TEST(FifoDriverTest, GateStallWakesExactlyWhenTheGateReopens) {
+  GatedRig rig;
+  rig.submit_reads(20);
+  ASSERT_LT(rig.driver.in_flight(), rig.driver.queue_depth());
+  std::size_t stalls = 0;
+  while (rig.driver.queued() > 0) {
+    // Every queued request has the front's range, so the device's gate
+    // for (0, kBytes) is the front's gate.
+    const common::SimTime until =
+        rig.device.admission_closed_until(0, GatedRig::kBytes);
+    ASSERT_GE(until, rig.sim.now());
+    ASSERT_EQ(rig.driver.next_wake(), until + 1);
+    const std::size_t before = rig.dispatched.size();
+    // While the gate is closed only completions run: no retry events, and
+    // nothing is dispatched.
+    while (rig.sim.next_event_time() <= until) {
+      const std::uint64_t done = rig.completions;
+      ASSERT_TRUE(rig.sim.step());
+      ASSERT_EQ(rig.completions, done + 1) << "non-completion event at "
+                                           << rig.sim.now();
+      ASSERT_EQ(rig.dispatched.size(), before);
+    }
+    ASSERT_TRUE(rig.sim.step());  // the wake
+    ASSERT_EQ(rig.sim.now(), until + 1);
+    ASSERT_GT(rig.dispatched.size(), before);
+    EXPECT_EQ(rig.dispatched[before], until + 1);
+    ++stalls;
+  }
+  EXPECT_GE(stalls, 10u);
+  rig.sim.run();
+  EXPECT_EQ(rig.completions, 20u);
+}
+
+TEST(FifoDriverTest, DepthStallSchedulesNoWake) {
+  Harness h;
+  const std::uint32_t qd = h.driver.queue_depth();
+  for (std::uint64_t i = 0; i < qd + 10; ++i) {
+    h.driver.submit(h.make(i, IoType::kRead, i * 16384, 16384));
+  }
+  ASSERT_EQ(h.driver.in_flight(), qd);
+  // A full queue depth ends with a completion, which re-runs the fetch.
+  EXPECT_EQ(h.driver.next_wake(), common::kTimeInfinity);
+  EXPECT_EQ(h.sim.pending_events(), static_cast<std::size_t>(qd));
+  h.sim.run();
+  EXPECT_EQ(h.completed.size(), static_cast<std::size_t>(qd) + 10u);
+}
+
 }  // namespace
 }  // namespace src::nvme

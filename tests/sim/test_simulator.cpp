@@ -94,6 +94,26 @@ TEST(SimulatorTest, RunUntilStopsAtDeadlineInclusive) {
   EXPECT_EQ(count, 3);
 }
 
+TEST(SimulatorTest, RunUntilDoesNotRunPastDeadlineAfterCancelledTop) {
+  // A cancelled entry at the top of the calendar must not let run_until
+  // hand control to the next live event beyond the deadline.
+  Simulator sim;
+  bool a_fired = false;
+  bool b_fired = false;
+  const EventId a = sim.schedule_at(10, [&] { a_fired = true; });
+  sim.schedule_at(20, [&] { b_fired = true; });
+  sim.cancel(a);
+  sim.run_until(15);
+  EXPECT_FALSE(a_fired);
+  EXPECT_FALSE(b_fired);
+  EXPECT_EQ(sim.now(), 0);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_EQ(sim.cancelled_pending(), 0u);
+  sim.run_until(20);
+  EXPECT_TRUE(b_fired);
+  EXPECT_EQ(sim.now(), 20);
+}
+
 TEST(SimulatorTest, RunUntilAdvancesClockWhenEmpty) {
   Simulator sim;
   sim.run_until(500);
