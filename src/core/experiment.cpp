@@ -1,5 +1,6 @@
 #include "core/experiment.hpp"
 
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
 
@@ -151,8 +152,10 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
 
   // Replay workloads: each initiator spreads its requests round-robin over
   // all targets.
+  common::SimTime last_arrival = 0;
   for (std::size_t i = 0; i < initiators.size(); ++i) {
     const workload::Trace trace = config.trace_for(i);
+    if (!trace.empty()) last_arrival = std::max(last_arrival, trace.back().arrival);
     initiators[i]->run_trace(
         // srclint:capture-ok(selector runs synchronously inside run_trace)
         trace, [&target_nodes](const workload::TraceRecord&, std::size_t index) {
@@ -160,7 +163,9 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
         });
   }
 
-  // Run in slices so we can stop as soon as all requests complete.
+  // Run in slices so we can stop as soon as all requests complete. A
+  // sparse trace can have nothing in flight at a slice boundary, so the
+  // stop also waits for the last arrival to have been issued.
   const common::SimTime slice = 5 * common::kMillisecond;
   common::SimTime deadline = 0;
   bool all_done = false;
@@ -176,7 +181,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     for (const auto& controller : controllers) {
       controller->check_staleness(sim.now());
     }
-    all_done = true;
+    all_done = deadline >= last_arrival;
     for (const auto& initiator : initiators) {
       if (!initiator->all_complete()) {
         all_done = false;

@@ -129,7 +129,7 @@ struct ExperimentResult {
   std::uint64_t signals_suppressed = 0;  ///< congestion signals lost to faults
   SrcControllerStats controller_stats;   ///< summed guardrail counters
 
-  bool completed = false;  ///< all issued requests finished before max_time
+  bool completed = false;  ///< every trace request issued and finished before max_time
   common::SimTime end_time = 0;
   std::vector<AdjustmentRecord> adjustments;  ///< SRC weight changes
 

@@ -14,7 +14,6 @@
 #include "workload/micro.hpp"
 #include "workload/mmpp.hpp"
 
-#include <string>
 #include <vector>
 
 namespace src::core {
@@ -48,17 +47,5 @@ ExperimentConfig intensity_experiment(Intensity level, bool use_src,
 ExperimentConfig incast_experiment(std::size_t targets, std::size_t initiators,
                                    bool use_src, const Tpm* tpm,
                                    std::uint64_t seed = 5);
-
-/// Look up an evaluation preset by its paper-figure name:
-///   "fig7"  — VDI workload, DCQCN-only (no TPM needed),
-///   "fig9"  — VDI workload, DCQCN-SRC,
-///   "fig10-light" / "fig10-moderate" / "fig10-heavy" — intensity sweep, SRC,
-///   "table4" — 2-target/1-initiator in-cast, SRC.
-/// `tpm` may be null for presets with use_src == false. Throws
-/// std::invalid_argument for an unknown name.
-ExperimentConfig preset_by_name(const std::string& name, const Tpm* tpm);
-
-/// Names accepted by preset_by_name, for usage/help text.
-std::vector<std::string> preset_names();
 
 }  // namespace src::core

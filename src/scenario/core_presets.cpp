@@ -40,12 +40,4 @@ ExperimentConfig incast_experiment(std::size_t targets, std::size_t initiators,
                      tpm);
 }
 
-ExperimentConfig preset_by_name(const std::string& name, const Tpm* tpm) {
-  return config_from(scenario::preset_spec(name), tpm);
-}
-
-std::vector<std::string> preset_names() {
-  return scenario::preset_registry().names();
-}
-
 }  // namespace src::core

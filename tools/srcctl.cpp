@@ -1,22 +1,22 @@
 // srcctl — command-line front end for the SRC simulator library.
 //
-// Subcommands live in the kCommands table below; `srcctl help` (or any
-// unknown command) prints the generated listing, and every command accepts
-// `--help` for its own flags.
+// Subcommands live in the kCommands table at the bottom. Each entry declares
+// its flags and operands once, with their types; main parses and checks all
+// of them before the handler runs, and `srcctl <command> --help` is
+// generated from the same table. `srcctl help` lists the commands.
 #include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iostream>
-#include <iterator>
+#include <limits>
 #include <map>
-#include <set>
+#include <optional>
+#include <stdexcept>
 #include <string>
-#include <sys/wait.h>
 #include <unistd.h>
 #include <utility>
 #include <vector>
@@ -27,7 +27,6 @@
 #include "common/table.hpp"
 #include "core/presets.hpp"
 #include "core/standalone.hpp"
-#include "fault/fault_injector.hpp"
 #include "obs/obs.hpp"
 #include "scenario/build.hpp"
 #include "scenario/presets.hpp"
@@ -40,98 +39,326 @@ using namespace src;
 
 namespace {
 
-/// Tiny --flag=value / --flag value parser. Non-flag tokens are collected
-/// as positionals; which flags a command reads and whether it accepts
-/// positionals are declared in its kCommands entry (main rejects the rest
-/// up front).
-class Args {
- public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      std::string token = argv[i];
-      if (token == "-o") {
-        token = "--out";  // conventional short form for output files
-      }
-      if (token.rfind("--", 0) != 0) {
-        positionals_.push_back(token);
-        continue;
-      }
-      token = token.substr(2);
-      const auto eq = token.find('=');
-      std::string key = token.substr(0, eq);
-      valueless_.erase(key);  // the last occurrence of a flag wins
-      if (eq != std::string::npos) {
-        values_[key] = token.substr(eq + 1);
-      } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        values_[key] = argv[++i];
-      } else {
-        values_[key] = "true";
-        valueless_.insert(std::move(key));
-      }
-    }
-  }
+namespace fs = std::filesystem;
 
-  std::string get(const std::string& key, const std::string& fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-  /// Numeric flags must consume their whole token (`--iat 15x` is an
-  /// error, not 15); a malformed value exits 2 with a located message.
-  double get_double(const std::string& key, double fallback) const {
-    double value = fallback;
-    if (!parse_number(key, value) || !std::isfinite(value)) {
-      reject(key, "a number");
-    }
-    return value;
-  }
-  std::uint64_t get_u64(const std::string& key, std::uint64_t fallback) const {
-    std::uint64_t value = fallback;
-    if (!parse_number(key, value)) reject(key, "a non-negative integer");
-    return value;
-  }
-  bool has(const std::string& key) const { return values_.count(key) > 0; }
-  const std::map<std::string, std::string>& flags() const { return values_; }
-  const std::vector<std::string>& positionals() const { return positionals_; }
-
- private:
-  /// Leaves `value` untouched when the flag is absent.
-  template <typename T>
-  bool parse_number(const std::string& key, T& value) const {
-    const auto it = values_.find(key);
-    if (it == values_.end()) return true;
-    if (valueless_.count(key) > 0) return false;
-    const std::string& text = it->second;
-    const char* end = text.data() + text.size();
-    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-    return ec == std::errc() && ptr == end;
-  }
-  [[noreturn]] void reject(const std::string& key, const char* expected) const {
-    const std::string got = valueless_.count(key) > 0
-                                ? std::string("no value")
-                                : "'" + values_.at(key) + "'";
-    std::fprintf(stderr, "srcctl: --%s: expected %s, got %s\n", key.c_str(),
-                 expected, got.c_str());
-    std::exit(2);
-  }
-
-  std::map<std::string, std::string> values_;
-  std::set<std::string> valueless_;
-  std::vector<std::string> positionals_;
+/// A rejected command line, or an input a handler refuses before it starts
+/// work: main prints one `srcctl` diagnostic line and exits 2. `subject`
+/// names the flag ("--iat") or operand ("<scenario.json>") at fault; when it
+/// is empty the message is about the command as a whole.
+struct UsageError : std::runtime_error {
+  UsageError(std::string subject_name, const std::string& message)
+      : std::runtime_error(message), subject(std::move(subject_name)) {}
+  std::string subject;
 };
 
-int cmd_sweep(const Args& args) {
-  if (args.has("help")) {
-    std::puts("srcctl sweep [--ssd SSD-A] [--iat 15] [--size-kb 32] "
-              "[--count 6000] [--seed 7]");
-    return 0;
+// --- typed flags ---------------------------------------------------------
+
+enum class Kind { kNumber, kInteger, kInput, kOutput, kSwitch, kChoice, kText };
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// What a flag's value or an operand must be. Number and integer bounds are
+/// inclusive unless `lo_open`; an input path must exist; an output path's
+/// parent directory must exist.
+struct Type {
+  Kind kind = Kind::kText;
+  double lo = -kInf;
+  double hi = kInf;
+  bool lo_open = false;
+  const char* choices = "";  ///< kChoice: "a|b|c"
+  bool required = false;     ///< flags only: must be given
+};
+
+Type number(double lo = -kInf, double hi = kInf) {
+  return {Kind::kNumber, lo, hi};
+}
+Type positive() { return {Kind::kNumber, 0.0, kInf, true}; }
+Type integer(double lo = 0.0, double hi = kInf) {
+  return {Kind::kInteger, lo, hi};
+}
+Type choice(const char* choices) {
+  return {Kind::kChoice, -kInf, kInf, false, choices};
+}
+Type required(Type type) {
+  type.required = true;
+  return type;
+}
+const Type kInput{Kind::kInput};
+const Type kOutput{Kind::kOutput};
+const Type kSwitch{Kind::kSwitch};
+const Type kText{Kind::kText};
+
+/// {name, type, default (empty = none), one-line help}.
+struct Flag {
+  std::string name;
+  Type type;
+  std::string fallback;
+  const char* help;
+};
+
+/// A positional operand slot that takes `min`..`max` tokens.
+struct Operand {
+  const char* name;
+  Type type;
+  std::size_t min;
+  std::size_t max;
+  const char* help;
+};
+
+constexpr std::size_t kMany = std::numeric_limits<std::size_t>::max();
+
+class Args;
+
+struct Command {
+  const char* name;
+  const char* summary;
+  std::vector<Flag> flags;
+  std::vector<Operand> operands;
+  int (*handler)(const Args&);
+  const char* notes = "";  ///< extra paragraph for --help
+};
+
+template <typename T>
+bool parse_whole(const std::string& text, T& value) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  return ec == std::errc() && ptr == end;
+}
+
+/// " >= 0", " > 0", " in [1, 8]" or "" (unbounded).
+std::string range_text(const Type& type) {
+  const auto bound = [](double x) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.10g", x);
+    return std::string(buf);
+  };
+  if (type.hi < kInf) {
+    return std::string(type.lo_open ? " in (" : " in [") + bound(type.lo) +
+           ", " + bound(type.hi) + "]";
   }
-  const auto config = ssd::config_by_name(args.get("ssd", "SSD-A"));
-  const double iat = args.get_double("iat", 15.0);
-  const double size_kb = args.get_double("size-kb", 32.0);
+  if (type.lo == -kInf || (type.kind == Kind::kInteger && type.lo == 0.0)) {
+    return "";
+  }
+  return (type.lo_open ? " > " : " >= ") + bound(type.lo);
+}
+
+/// The type as the generated help spells it, e.g. "number > 0".
+std::string describe(const Type& type) {
+  switch (type.kind) {
+    case Kind::kNumber: return "number" + range_text(type);
+    case Kind::kInteger: return "integer" + range_text(type);
+    case Kind::kInput: return "input path";
+    case Kind::kOutput: return "output path";
+    case Kind::kChoice: return type.choices;
+    case Kind::kSwitch: return "";
+    case Kind::kText: return "text";
+  }
+  return "";
+}
+
+bool in_range(const Type& type, double v) {
+  return (type.lo_open ? v > type.lo : v >= type.lo) && v <= type.hi;
+}
+
+/// Throws the located UsageError for a value (nullopt: given without one)
+/// the type rejects.
+void check_value(const std::string& subject, const Type& type,
+                 const std::optional<std::string>& given) {
+  const std::string value = given.value_or("");
+  const auto reject = [&](const std::string& want) {
+    throw UsageError(subject, "expected " + want + ", got " +
+                                  (given ? "'" + value + "'" : "no value"));
+  };
+  std::error_code ec;
+  switch (type.kind) {
+    case Kind::kNumber: {
+      double v = 0.0;
+      if (!parse_whole(value, v) || !std::isfinite(v)) reject("a number");
+      if (!in_range(type, v)) reject("a number" + range_text(type));
+      return;
+    }
+    case Kind::kInteger: {
+      std::uint64_t v = 0;
+      if (!parse_whole(value, v)) reject("a non-negative integer");
+      if (!in_range(type, static_cast<double>(v))) {
+        reject("an integer" + range_text(type));
+      }
+      return;
+    }
+    case Kind::kInput:
+      if (value.empty() || !fs::exists(value, ec)) reject("an existing path");
+      return;
+    case Kind::kOutput: {
+      const fs::path parent = fs::path(value).parent_path();
+      if (value.empty() || !fs::is_directory(parent.empty() ? "." : parent, ec)) {
+        reject("a path in an existing directory");
+      }
+      return;
+    }
+    case Kind::kChoice:
+      if (value.empty() || ("|" + std::string(type.choices) + "|")
+                                   .find("|" + value + "|") == std::string::npos) {
+        reject(std::string("one of ") + type.choices);
+      }
+      return;
+    case Kind::kSwitch:
+      if (given) reject("no value");
+      return;
+    case Kind::kText:
+      if (!given) reject("a value");
+      return;
+  }
+}
+
+const Flag kHelpFlag{"help", kSwitch, "", "print this help"};
+
+/// The parsed command line of one command: `--flag value`, `--flag=value`
+/// and operands, checked against the command's declarations. Construction
+/// rejects unknown flags; check() rejects every bad value and operand.
+/// Accessors return the given value, else the declared default.
+class Args {
+ public:
+  Args(const Command& command, int argc, char** argv) : command_(command) {
+    for (int i = 2; i < argc; ++i) {
+      std::string token = argv[i];
+      tokens_.push_back(token);
+      if (token == "-o") token = "--out";  // conventional short form
+      if (token.rfind("--", 0) != 0) {
+        operands_.push_back(token);
+        continue;
+      }
+      token.erase(0, 2);
+      const auto eq = token.find('=');
+      const std::string key = token.substr(0, eq);
+      const Flag* flag = find(key);
+      if (flag == nullptr) {
+        throw UsageError("--" + key, "unknown flag for '" +
+                                         std::string(command.name) + "'");
+      }
+      std::optional<std::string> value;
+      if (eq != std::string::npos) {
+        value = token.substr(eq + 1);
+      } else if (flag->type.kind != Kind::kSwitch && i + 1 < argc &&
+                 std::string(argv[i + 1]).rfind("--", 0) != 0) {
+        value = argv[++i];
+        tokens_.push_back(*value);
+      }
+      values_[key] = std::move(value);  // the last occurrence wins
+    }
+  }
+
+  /// Every given value against its type, then required flags, then the
+  /// operand slots in order.
+  void check() const {
+    for (const Flag& flag : command_.flags) {
+      const auto it = values_.find(flag.name);
+      if (it != values_.end()) check_value("--" + flag.name, flag.type, it->second);
+    }
+    for (const Flag& flag : command_.flags) {
+      if (flag.type.required && values_.count(flag.name) == 0) {
+        throw UsageError("--" + flag.name, "required by '" +
+                                               std::string(command_.name) + "'");
+      }
+    }
+    std::size_t next = 0;
+    for (const Operand& operand : command_.operands) {
+      std::size_t taken = 0;
+      for (; taken < operand.max && next < operands_.size(); ++taken, ++next) {
+        check_value("<" + std::string(operand.name) + ">", operand.type,
+                    operands_[next]);
+      }
+      if (taken < operand.min) {
+        throw UsageError("", "missing <" + std::string(operand.name) + ">");
+      }
+    }
+    if (next < operands_.size()) {
+      throw UsageError("", "unexpected argument '" + operands_[next] + "'");
+    }
+  }
+
+  bool has(const std::string& name) const { return values_.count(name) > 0; }
+  std::string text(const std::string& name) const {
+    const auto it = values_.find(name);
+    if (it != values_.end() && it->second.has_value()) return *it->second;
+    const Flag* flag = find(name);
+    return flag == nullptr ? std::string() : flag->fallback;
+  }
+  double number(const std::string& name) const {
+    double value = 0.0;
+    parse_whole(text(name), value);
+    return value;
+  }
+  std::uint64_t integer(const std::string& name) const {
+    std::uint64_t value = 0;
+    parse_whole(text(name), value);
+    return value;
+  }
+  const std::vector<std::string>& operands() const { return operands_; }
+  /// The command line after the command name, verbatim.
+  const std::vector<std::string>& tokens() const { return tokens_; }
+
+ private:
+  const Flag* find(const std::string& name) const {
+    if (name == kHelpFlag.name) return &kHelpFlag;
+    for (const Flag& flag : command_.flags) {
+      if (flag.name == name) return &flag;
+    }
+    return nullptr;
+  }
+
+  const Command& command_;
+  std::map<std::string, std::optional<std::string>> values_;
+  std::vector<std::string> operands_;
+  std::vector<std::string> tokens_;
+};
+
+// --- shared helpers ------------------------------------------------------
+
+/// Write `text` plus a newline to `path`; throws on failure.
+void write_text_file(const std::string& path, const std::string& text) {
+  std::ofstream out(path, std::ios::binary);
+  if (!out) throw std::runtime_error("cannot open " + path + " for writing");
+  out << text << '\n';
+}
+
+/// Write a scenario manifest in its canonical to_json_text form.
+void write_manifest(const std::string& path,
+                    const scenario::ScenarioSpec& spec) {
+  write_text_file(path, scenario::to_json(spec).dump(2));
+}
+
+/// Load a manifest; a file that does not parse is a usage error.
+scenario::ScenarioSpec load_manifest(const std::string& path) {
+  try {
+    return scenario::load_scenario_file(path);
+  } catch (const std::runtime_error& err) {
+    throw UsageError("", err.what());
+  }
+}
+
+/// Parse a JSON file; empty error string on success.
+std::string load_json_file(const std::string& path, obs::Json& out) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return "cannot open file";
+  std::string text((std::istreambuf_iterator<char>(in)),
+                   std::istreambuf_iterator<char>());
+  try {
+    out = obs::Json::parse(text);
+  } catch (const std::runtime_error& err) {
+    return err.what();
+  }
+  return "";
+}
+
+// --- commands ------------------------------------------------------------
+
+int cmd_sweep(const Args& args) {
+  const auto config = ssd::config_by_name(args.text("ssd"));
   const auto trace = workload::generate_micro(
-      workload::symmetric_micro(iat, size_kb * 1024,
-                                args.get_u64("count", 6000)),
-      args.get_u64("seed", 7));
+      workload::symmetric_micro(args.number("iat"),
+                                args.number("size-kb") * 1024,
+                                args.integer("count")),
+      args.integer("seed"));
 
   common::TextTable table({"w", "read Gbps", "write Gbps", "aggregate"});
   for (const std::uint32_t w : {1u, 2u, 3u, 4u, 6u, 8u, 12u, 16u}) {
@@ -145,119 +372,6 @@ int cmd_sweep(const Args& args) {
                    common::fmt(result.aggregate_rate().as_gbps())});
   }
   table.print(std::cout);
-  return 0;
-}
-
-/// Write `text` to `path`, exiting with a message on failure.
-void write_text_file(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    std::exit(1);
-  }
-  out << text << '\n';
-}
-
-int cmd_experiment(const Args& args) {
-  if (args.has("help")) {
-    std::puts("srcctl experiment [--preset vdi|light|moderate|heavy|incast]\n"
-              "                  [--targets 2] [--initiators 1] [--seed 99]\n"
-              "                  [--model file.tpm] [--metrics-out metrics.json]");
-    return 0;
-  }
-  const std::string preset = args.get("preset", "vdi");
-  core::Tpm tpm;
-  if (args.has("model")) {
-    tpm = core::Tpm::load_file(args.get("model", ""));
-    std::printf("loaded TPM from %s\n", args.get("model", "").c_str());
-  } else {
-    std::printf("training TPM for SSD-A (use --model file.tpm to skip)...\n");
-    tpm = core::train_default_tpm(ssd::ssd_a());
-  }
-
-  auto build = [&](bool use_src) -> core::ExperimentConfig {
-    const std::uint64_t seed = args.get_u64("seed", 99);
-    const core::Tpm* model = use_src ? &tpm : nullptr;
-    if (preset == "vdi") return core::vdi_experiment(use_src, model, seed);
-    if (preset == "light")
-      return core::intensity_experiment(core::Intensity::kLight, use_src, model, seed);
-    if (preset == "moderate")
-      return core::intensity_experiment(core::Intensity::kModerate, use_src, model, seed);
-    if (preset == "heavy")
-      return core::intensity_experiment(core::Intensity::kHeavy, use_src, model, seed);
-    if (preset == "incast")
-      return core::incast_experiment(args.get_u64("targets", 2),
-                                     args.get_u64("initiators", 1), use_src,
-                                     model, seed);
-    std::fprintf(stderr, "unknown preset '%s'\n", preset.c_str());
-    std::exit(2);
-  };
-
-  // Metrics observatories (tracing off: the counters are what we export).
-  obs::ObsConfig obs_config;
-  obs_config.tracing = false;
-  obs::Observatory only_obs(obs_config);
-  obs::Observatory src_obs(obs_config);
-
-  auto only_config = build(false);
-  auto src_config = build(true);
-  if (args.has("metrics-out")) {
-    only_config.observatory = &only_obs;
-    src_config.observatory = &src_obs;
-  }
-  const auto only = core::run_experiment(only_config);
-  const auto with_src = core::run_experiment(src_config);
-
-  if (args.has("metrics-out")) {
-    obs::Json combined = obs::Json::Object{};
-    combined.set("dcqcn_only", obs::Json::parse(only_obs.metrics_json()));
-    combined.set("dcqcn_src", obs::Json::parse(src_obs.metrics_json()));
-    const std::string path = args.get("metrics-out", "");
-    write_text_file(path, combined.dump(2));
-    std::printf("metrics written to %s\n", path.c_str());
-  }
-
-  common::TextTable table({"Mode", "read", "write", "aggregate", "signals"});
-  auto row = [&](const char* name, const core::ExperimentResult& r) {
-    table.add_row({name, common::fmt(r.read_rate.as_gbps()),
-                   common::fmt(r.write_rate.as_gbps()),
-                   common::fmt(r.aggregate_rate().as_gbps()),
-                   std::to_string(r.pause_timeline.total())});
-  };
-  row("DCQCN-only", only);
-  row("DCQCN-SRC", with_src);
-  table.print(std::cout);
-  const double gain = (with_src.aggregate_rate().as_bytes_per_second() /
-                           only.aggregate_rate().as_bytes_per_second() -
-                       1.0) * 100.0;
-  std::printf("aggregate improvement: %+.0f%% (rates in Gbps)\n", gain);
-
-  // Robustness counters: all zero on a healthy run, so only print when the
-  // fault/retry machinery actually did something.
-  auto robustness = [](const char* name, const core::ExperimentResult& r) {
-    const std::uint64_t activity = r.retries + r.timeouts + r.error_completions +
-                                   r.reads_failed + r.writes_failed +
-                                   r.errors_returned + r.rerouted_requests +
-                                   r.signals_suppressed +
-                                   r.controller_stats.invalid_demand_events +
-                                   r.controller_stats.rejected_predictions +
-                                   r.controller_stats.watchdog_decays;
-    if (activity == 0) return;
-    std::printf("%s robustness: %llu retries, %llu timeouts, %llu error "
-                "completions, %llu failed, %llu rerouted, %llu signals lost, "
-                "%llu bad demands, %llu bad predictions, %llu watchdog decays\n",
-                name, static_cast<unsigned long long>(r.retries),
-                static_cast<unsigned long long>(r.timeouts),
-                static_cast<unsigned long long>(r.error_completions),
-                static_cast<unsigned long long>(r.reads_failed + r.writes_failed),
-                static_cast<unsigned long long>(r.rerouted_requests),
-                static_cast<unsigned long long>(r.signals_suppressed),
-                static_cast<unsigned long long>(r.controller_stats.invalid_demand_events),
-                static_cast<unsigned long long>(r.controller_stats.rejected_predictions),
-                static_cast<unsigned long long>(r.controller_stats.watchdog_decays));
-  };
-  robustness("DCQCN-only", only);
-  robustness("DCQCN-SRC", with_src);
   return 0;
 }
 
@@ -303,14 +417,7 @@ int run_pod_scenario(const scenario::ScenarioSpec& spec, const Args& args) {
   obs::Observatory observatory(obs_config);
   scenario::BuildOptions options;
   options.observatory = &observatory;
-
-  core::PodExperimentResult result;
-  try {
-    result = scenario::run_pod(spec, options);
-  } catch (const std::exception& err) {
-    std::fprintf(stderr, "%s\n", err.what());
-    return 1;
-  }
+  const core::PodExperimentResult result = scenario::run_pod(spec, options);
 
   const scenario::PodSpec& pod = spec.topology.pod;
   std::printf("%s: pod grammar %zux%zux%zu (oversub %.1f, partition %s), "
@@ -350,81 +457,95 @@ int run_pod_scenario(const scenario::ScenarioSpec& spec, const Args& args) {
     }
     report.set("per_initiator_read_bytes", std::move(per_initiator));
     report.set("metrics", observatory.metrics().snapshot());
-    const std::string path = args.get("metrics-out", "");
+    const std::string path = args.text("metrics-out");
     write_text_file(path, report.dump(2));
     std::printf("metrics written to %s\n", path.c_str());
   }
   return 0;
 }
 
+/// Robustness counters: all zero on a healthy run, so the line is printed
+/// only when the fault/retry machinery actually did something.
+void print_robustness(const std::string& name, const core::ExperimentResult& r) {
+  const std::uint64_t activity = r.retries + r.timeouts + r.error_completions +
+                                 r.reads_failed + r.writes_failed +
+                                 r.errors_returned + r.rerouted_requests +
+                                 r.signals_suppressed +
+                                 r.controller_stats.invalid_demand_events +
+                                 r.controller_stats.rejected_predictions +
+                                 r.controller_stats.watchdog_decays;
+  if (activity == 0) return;
+  std::printf("%s robustness: %llu retries, %llu timeouts, %llu error "
+              "completions, %llu failed, %llu rerouted, %llu signals lost, "
+              "%llu bad demands, %llu bad predictions, %llu watchdog decays\n",
+              name.c_str(), static_cast<unsigned long long>(r.retries),
+              static_cast<unsigned long long>(r.timeouts),
+              static_cast<unsigned long long>(r.error_completions),
+              static_cast<unsigned long long>(r.reads_failed + r.writes_failed),
+              static_cast<unsigned long long>(r.rerouted_requests),
+              static_cast<unsigned long long>(r.signals_suppressed),
+              static_cast<unsigned long long>(r.controller_stats.invalid_demand_events),
+              static_cast<unsigned long long>(r.controller_stats.rejected_predictions),
+              static_cast<unsigned long long>(r.controller_stats.watchdog_decays));
+}
+
+/// The TPM every run of `spec` shares: --model loads a file, else an
+/// SRC-enabled spec resolves its tpm source once. Null for a DCQCN-only
+/// spec.
+std::shared_ptr<const core::Tpm> resolve_tpm(const Args& args,
+                                             const scenario::ScenarioSpec& spec) {
+  if (args.has("model")) {
+    auto tpm = std::make_shared<const core::Tpm>(
+        core::Tpm::load_file(args.text("model")));
+    std::printf("loaded TPM from %s\n", args.text("model").c_str());
+    return tpm;
+  }
+  if (!spec.src.enabled || spec.src.tpm.source == "none") return nullptr;
+  if (spec.src.tpm.source == "train-default") {
+    std::printf("training TPM for %s (use --model file.tpm to skip)...\n",
+                spec.ssd.name.c_str());
+  }
+  return scenario::tpm_registry().at(spec.src.tpm.source)(spec.src.tpm, spec.ssd);
+}
+
 int cmd_run(const Args& args) {
-  if (args.has("help") || args.positionals().empty()) {
-    std::puts("srcctl run <scenario.json> [--model file.tpm]\n"
-              "           [--metrics-out report.json] [--dump] [--lenient]\n"
-              "           [--lanes N]\n"
-              "\n"
-              "Runs a src-scenario-v1 manifest end to end and prints the\n"
-              "measured throughput. --model supplies a pre-fitted TPM\n"
-              "(overriding the manifest's src.tpm source); --metrics-out\n"
-              "writes a src-run-v1 report; --dump echoes the parsed manifest\n"
-              "back as canonical JSON instead of running it. --lanes overrides\n"
-              "the manifest's lane count (0 = classic single-kernel engine;\n"
-              "N >= 1 = sharded lane engine with N worker threads — results\n"
-              "are identical at every N). Pod-kind manifests always run on\n"
-              "the lane engine and print a pod summary (--metrics-out then\n"
-              "writes an src-pod-run-v1 report).\n"
-              "\n"
-              "Exit codes: 0 clean run, 1 runtime failure, 2 usage error,\n"
-              "3 health failure — a controller guardrail tripped, requests\n"
-              "exhausted their retries, or (with a `verify` block) a runtime\n"
-              "invariant checker fired. --lenient downgrades 3 back to 0.");
-    return args.has("help") ? 0 : 2;
-  }
-  if (args.positionals().size() != 1) {
-    std::fprintf(stderr, "run: expected exactly one scenario file\n");
-    return 2;
-  }
-  scenario::ScenarioSpec spec;
-  try {
-    spec = scenario::load_scenario_file(args.positionals().front());
-  } catch (const std::runtime_error& err) {
-    std::fprintf(stderr, "%s\n", err.what());
-    return 2;
-  }
+  const std::string& path = args.operands().front();
+  scenario::ScenarioSpec spec = load_manifest(path);
   if (args.has("lanes")) {
-    spec.lanes = args.get_u64("lanes", spec.lanes);
+    // Re-read the overridden spec so --lanes meets the same checks as $.lanes.
+    spec.lanes = args.integer("lanes");
+    try {
+      spec = scenario::from_json(scenario::to_json(spec), path);
+    } catch (const std::runtime_error& err) {
+      throw UsageError("--lanes", err.what());
+    }
   }
   if (args.has("dump")) {
     std::fputs(scenario::to_json_text(spec).c_str(), stdout);
     return 0;
   }
+  const bool traced = args.has("trace-out");
+  if (traced && (spec.topology.kind == "pod" || spec.lanes >= 1)) {
+    throw UsageError("--trace-out",
+                     "the lane engine (pod kind or lanes >= 1) records no "
+                     "trace events; run a star scenario at lanes 0");
+  }
+  if (args.has("trace-capacity") && !traced) {
+    throw UsageError("--trace-capacity", "needs --trace-out");
+  }
   if (spec.topology.kind == "pod") return run_pod_scenario(spec, args);
 
-  core::Tpm tpm;
+  const auto model = resolve_tpm(args, spec);
   scenario::BuildOptions options;
-  if (args.has("model")) {
-    tpm = core::Tpm::load_file(args.get("model", ""));
-    options.tpm = &tpm;
-    std::printf("loaded TPM from %s\n", args.get("model", "").c_str());
-  } else if (spec.src.enabled && spec.src.tpm.source == "train-default") {
-    std::printf("training TPM for %s (use --model file.tpm to skip)...\n",
-                spec.ssd.name.c_str());
-  }
+  options.tpm = model.get();
   obs::ObsConfig obs_config;
-  obs_config.tracing = false;
+  obs_config.tracing = traced;
+  obs_config.trace_capacity = args.integer("trace-capacity");
   obs::Observatory observatory(obs_config);
   options.observatory = &observatory;
 
-  core::ExperimentResult result;
-  std::shared_ptr<verify::Report> verify_report;
-  try {
-    const scenario::BuiltScenario built = scenario::build(spec, options);
-    verify_report = built.verify_report;
-    result = core::run_experiment(built.config);
-  } catch (const std::exception& err) {
-    std::fprintf(stderr, "%s\n", err.what());
-    return 1;
-  }
+  const scenario::BuiltScenario built = scenario::build(spec, options);
+  const core::ExperimentResult result = core::run_experiment(built.config);
 
   std::printf("%s: read %.2f Gbps, write %.2f Gbps, aggregate %.2f Gbps, "
               "%llu pauses, final w=%u%s\n",
@@ -444,10 +565,20 @@ int cmd_run(const Args& args) {
     }
     std::printf("  Jain index %.4f\n", result.read_fairness_index());
   }
+  print_robustness(spec.name, result);
+  if (traced) {
+    const std::string out = args.text("trace-out");
+    write_text_file(out, observatory.trace_json());
+    std::printf("trace: %zu events kept (%llu recorded, %llu dropped) -> %s\n",
+                observatory.tracer().size(),
+                static_cast<unsigned long long>(observatory.tracer().recorded()),
+                static_cast<unsigned long long>(observatory.tracer().dropped()),
+                out.c_str());
+  }
   if (args.has("metrics-out")) {
-    const std::string path = args.get("metrics-out", "");
-    write_text_file(path, run_report(spec.name, result, observatory).dump(2));
-    std::printf("metrics written to %s\n", path.c_str());
+    const std::string out = args.text("metrics-out");
+    write_text_file(out, run_report(spec.name, result, observatory).dump(2));
+    std::printf("metrics written to %s\n", out.c_str());
   }
 
   // Health gate (exit 3): controller guardrails, retry exhaustion, and any
@@ -457,13 +588,13 @@ int cmd_run(const Args& args) {
                                    result.controller_stats.watchdog_decays;
   const std::uint64_t exhausted = result.reads_failed + result.writes_failed;
   std::size_t violations = 0;
-  if (verify_report != nullptr) {
-    violations = verify_report->violations.size();
-    for (const verify::Violation& v : verify_report->violations) {
+  if (built.verify_report != nullptr) {
+    violations = built.verify_report->violations.size();
+    for (const verify::Violation& v : built.verify_report->violations) {
       std::fprintf(stderr, "verify: [%s] t=%lluns %s\n", v.checker.c_str(),
                    static_cast<unsigned long long>(v.when), v.detail.c_str());
     }
-    if (verify_report->truncated) {
+    if (built.verify_report->truncated) {
       std::fprintf(stderr, "verify: violation list truncated at cap\n");
     }
   }
@@ -478,42 +609,26 @@ int cmd_run(const Args& args) {
 }
 
 int cmd_scenarios(const Args& args) {
-  if (args.has("help")) {
-    std::puts("srcctl scenarios                 list built-in presets\n"
-              "srcctl scenarios <name>          dump one preset as JSON\n"
-              "srcctl scenarios --all --out-dir DIR\n"
-              "                                 write every preset to DIR/<name>.json");
-    return 0;
-  }
-  if (!args.positionals().empty()) {
-    if (args.positionals().size() != 1) {
-      std::fprintf(stderr, "scenarios: expected at most one preset name\n");
-      return 2;
-    }
+  if (!args.operands().empty()) {
     scenario::ScenarioSpec spec;
     try {
-      spec = scenario::preset_spec(args.positionals().front());
+      spec = scenario::preset_spec(args.operands().front());
     } catch (const std::invalid_argument& err) {
-      std::fprintf(stderr, "%s\n", err.what());
-      return 2;
+      throw UsageError("", err.what());
     }
     std::fputs(scenario::to_json_text(spec).c_str(), stdout);
     return 0;
   }
+  if (args.has("out-dir") && !args.has("all")) {
+    throw UsageError("--out-dir", "needs --all");
+  }
   if (args.has("all")) {
-    const std::string dir = args.get("out-dir", "");
-    if (dir.empty()) {
-      std::fprintf(stderr, "scenarios --all needs --out-dir DIR\n");
-      return 2;
-    }
+    const std::string dir = args.text("out-dir");
+    if (dir.empty()) throw UsageError("--all", "needs --out-dir DIR");
+    fs::create_directory(dir);
     for (const std::string& name : scenario::preset_registry().names()) {
-      const std::string path = dir + "/" + name + ".json";
-      std::ofstream out(path, std::ios::binary);
-      if (!out) {
-        std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-        return 1;
-      }
-      out << scenario::to_json_text(scenario::preset_spec(name));
+      const std::string path = (fs::path(dir) / (name + ".json")).string();
+      write_manifest(path, scenario::preset_spec(name));
       std::printf("wrote %s\n", path.c_str());
     }
     return 0;
@@ -528,157 +643,11 @@ int cmd_scenarios(const Args& args) {
   return 0;
 }
 
-int cmd_trace(const Args& args) {
-  if (args.has("help")) {
-    std::puts("srcctl trace --preset fig7|fig9|fig10-light|fig10-moderate|\n"
-              "                      fig10-heavy|table4\n"
-              "             [-o|--out trace.json] [--metrics-out metrics.json]\n"
-              "             [--model file.tpm] [--capacity 65536]\n"
-              "\n"
-              "Runs the preset with event tracing enabled and writes a Chrome\n"
-              "trace_event JSON (load it at https://ui.perfetto.dev).");
-    return 0;
-  }
-  const std::string preset = args.get("preset", "fig9");
-  const std::string out = args.get("out", "trace.json");
-
-  core::Tpm tpm;
-  const core::Tpm* model = nullptr;
-  if (preset != "fig7") {  // every other preset runs SRC and needs a TPM
-    if (args.has("model")) {
-      tpm = core::Tpm::load_file(args.get("model", ""));
-      std::printf("loaded TPM from %s\n", args.get("model", "").c_str());
-    } else {
-      std::printf("training TPM for SSD-A (use --model file.tpm to skip)...\n");
-      tpm = core::train_default_tpm(ssd::ssd_a());
-    }
-    model = &tpm;
-  }
-
-  core::ExperimentConfig config;
-  try {
-    config = core::preset_by_name(preset, model);
-  } catch (const std::invalid_argument& err) {
-    std::fprintf(stderr, "%s\n", err.what());
-    return 2;
-  }
-
-  obs::ObsConfig obs_config;
-  obs_config.tracing = true;
-  obs_config.trace_capacity = args.get_u64("capacity", obs_config.trace_capacity);
-  obs::Observatory observatory(obs_config);
-  config.observatory = &observatory;
-
-  const auto result = core::run_experiment(config);
-
-  write_text_file(out, observatory.trace_json());
-  std::printf("%s: read %.2f Gbps, write %.2f Gbps, %llu pauses, final w=%u\n",
-              preset.c_str(), result.read_rate.as_gbps(),
-              result.write_rate.as_gbps(),
-              static_cast<unsigned long long>(result.total_pauses),
-              result.final_weight_ratio());
-  std::printf("trace: %zu events kept (%llu recorded, %llu dropped) -> %s\n",
-              observatory.tracer().size(),
-              static_cast<unsigned long long>(observatory.tracer().recorded()),
-              static_cast<unsigned long long>(observatory.tracer().dropped()),
-              out.c_str());
-  if (args.has("metrics-out")) {
-    const std::string metrics_path = args.get("metrics-out", "");
-    write_text_file(metrics_path, observatory.metrics_json());
-    std::printf("metrics written to %s\n", metrics_path.c_str());
-  }
-  return 0;
-}
-
-int cmd_faults(const Args& args) {
-  if (args.has("help")) {
-    std::puts("srcctl faults [--seed 42] [--requests 2000] [--devices 4]\n"
-              "              [--drop-prob 0.3] [--drop-start-ms 50] [--drop-end-ms 100]\n"
-              "              [--outage-device 1] [--outage-start-ms 80] [--outage-end-ms 140]\n"
-              "              [--max-retries 10] [--no-retry]");
-    return 0;
-  }
-  sim::Simulator sim;
-  net::Network network(sim, net::NetConfig{});
-  auto topo = net::make_star(network, 2, common::Rate::gbps(10.0),
-                             common::kMicrosecond);
-  fabric::FabricContext context;
-  fabric::Initiator initiator(network, topo.hosts[0], context);
-  fabric::TargetConfig target_config;
-  target_config.device_count = args.get_u64("devices", 4);
-  fabric::Target target(network, topo.hosts[1], context, target_config);
-
-  if (!args.has("no-retry")) {
-    fabric::RetryPolicy policy;
-    policy.enabled = true;
-    policy.base_timeout = 2 * common::kMillisecond;
-    policy.max_timeout = 16 * common::kMillisecond;
-    policy.max_retries = static_cast<std::uint32_t>(args.get_u64("max-retries", 10));
-    initiator.set_retry_policy(policy);
-  }
-
-  fault::FaultPlan plan;
-  plan.seed = args.get_u64("seed", 42);
-  plan.packet_drops.push_back(
-      {topo.hosts[0], 0,
-       static_cast<common::SimTime>(args.get_double("drop-start-ms", 50.0) *
-                                    common::kMillisecond),
-       static_cast<common::SimTime>(args.get_double("drop-end-ms", 100.0) *
-                                    common::kMillisecond),
-       args.get_double("drop-prob", 0.3)});
-  const std::size_t outage_device = args.get_u64("outage-device", 1);
-  if (outage_device < target_config.device_count) {
-    plan.outages.push_back(
-        {0, outage_device,
-         static_cast<common::SimTime>(args.get_double("outage-start-ms", 80.0) *
-                                      common::kMillisecond),
-         static_cast<common::SimTime>(args.get_double("outage-end-ms", 140.0) *
-                                      common::kMillisecond)});
-  }
-  fault::FaultInjector injector(network, plan);
-  injector.add_target(target);
-  injector.arm();
-
-  workload::Trace trace;
-  const std::size_t requests = args.get_u64("requests", 2000);
-  for (std::size_t i = 0; i < requests; ++i) {
-    trace.push_back({common::microseconds(100.0 * static_cast<double>(i)),
-                     i % 3 == 0 ? common::IoType::kWrite : common::IoType::kRead,
-                     static_cast<std::uint64_t>(i) << 20, 32768});
-  }
-  initiator.run_trace(trace, [&](const workload::TraceRecord&, std::size_t) {
-    return target.node_id();
-  });
-  sim.run_until(2 * common::kSecond);
-
-  const auto& stats = initiator.stats();
-  common::TextTable table({"metric", "value"});
-  table.add_row({"requests issued",
-                 std::to_string(stats.reads_issued + stats.writes_issued)});
-  table.add_row({"completed",
-                 std::to_string(stats.reads_completed + stats.writes_completed)});
-  table.add_row({"failed explicitly", std::to_string(stats.requests_failed())});
-  table.add_row({"timeouts", std::to_string(stats.timeouts)});
-  table.add_row({"retries", std::to_string(stats.retries)});
-  table.add_row({"error completions", std::to_string(stats.error_completions)});
-  table.add_row({"stale messages", std::to_string(stats.stale_messages)});
-  table.add_row({"packets dropped", std::to_string(injector.stats().packets_dropped)});
-  table.add_row({"errors returned", std::to_string(target.stats().errors_returned)});
-  table.add_row({"rerouted requests", std::to_string(target.stats().rerouted_requests)});
-  table.add_row({"all terminated", initiator.all_complete() ? "yes" : "NO"});
-  table.print(std::cout);
-  return initiator.all_complete() ? 0 : 1;
-}
-
 int cmd_tpm(const Args& args) {
-  if (args.has("help")) {
-    std::puts("srcctl tpm [--ssd SSD-A] [--seed 11] [--save model.tpm]");
-    return 0;
-  }
-  const auto config = ssd::config_by_name(args.get("ssd", "SSD-A"));
+  const auto config = ssd::config_by_name(args.text("ssd"));
   std::printf("collecting training data on %s...\n", config.name.c_str());
   const auto data = core::collect_training_data(
-      config, core::default_training_grid(6000, args.get_u64("seed", 11)));
+      config, core::default_training_grid(6000, args.integer("seed")));
   const auto [train, test] = data.split(0.6, 42);
   core::Tpm tpm;
   tpm.fit(train);
@@ -695,7 +664,7 @@ int cmd_tpm(const Args& args) {
   }
   table.print(std::cout);
   if (args.has("save")) {
-    const std::string out = args.get("save", "");
+    const std::string out = args.text("save");
     tpm.save_file(out);
     std::printf("model written to %s\n", out.c_str());
   }
@@ -703,50 +672,28 @@ int cmd_tpm(const Args& args) {
 }
 
 int cmd_trace_gen(const Args& args) {
-  if (args.has("help")) {
-    std::puts("srcctl trace-gen --out trace.csv [--preset micro|vdi|cbs]\n"
-              "                 [--count 5000] [--iat 15] [--size-kb 32] [--seed 7]");
-    return 0;
-  }
-  const std::string out = args.get("out", "");
-  if (out.empty()) {
-    std::fprintf(stderr, "--out is required\n");
-    return 2;
-  }
-  const std::string preset = args.get("preset", "micro");
-  const std::size_t count = args.get_u64("count", 5000);
-  const std::uint64_t seed = args.get_u64("seed", 7);
-
+  const std::string preset = args.text("preset");
+  const std::size_t count = args.integer("count");
+  const std::uint64_t seed = args.integer("seed");
   workload::Trace trace;
   if (preset == "micro") {
     trace = workload::generate_micro(
-        workload::symmetric_micro(args.get_double("iat", 15.0),
-                                  args.get_double("size-kb", 32.0) * 1024, count),
+        workload::symmetric_micro(args.number("iat"),
+                                  args.number("size-kb") * 1024, count),
         seed);
   } else if (preset == "vdi") {
     trace = workload::generate_synthetic(workload::fujitsu_vdi_like(count), seed);
-  } else if (preset == "cbs") {
-    trace = workload::generate_synthetic(workload::tencent_cbs_like(count), seed);
   } else {
-    std::fprintf(stderr, "unknown preset '%s'\n", preset.c_str());
-    return 2;
+    trace = workload::generate_synthetic(workload::tencent_cbs_like(count), seed);
   }
+  const std::string out = args.text("out");
   workload::write_csv_trace_file(out, trace);
   std::printf("wrote %zu requests to %s\n", trace.size(), out.c_str());
   return 0;
 }
 
 int cmd_trace_stats(const Args& args) {
-  if (args.has("help")) {
-    std::puts("srcctl trace-stats --trace trace.csv");
-    return 0;
-  }
-  const std::string path = args.get("trace", "");
-  if (path.empty()) {
-    std::fprintf(stderr, "--trace is required\n");
-    return 2;
-  }
-  const auto trace = workload::read_csv_trace_file(path);
+  const auto trace = workload::read_csv_trace_file(args.text("trace"));
   const auto stats = workload::analyze(trace);
   common::TextTable table({"stream", "count", "mean IAT us", "IAT SCV",
                            "mean size KB", "size SCV", "flow Gbps"});
@@ -765,21 +712,12 @@ int cmd_trace_stats(const Args& args) {
 }
 
 int cmd_replay(const Args& args) {
-  if (args.has("help")) {
-    std::puts("srcctl replay --trace trace.csv [--ssd SSD-A] [--weight 1]");
-    return 0;
-  }
-  const std::string path = args.get("trace", "");
-  if (path.empty()) {
-    std::fprintf(stderr, "--trace is required\n");
-    return 2;
-  }
-  const auto trace = workload::read_csv_trace_file(path);
+  const auto trace = workload::read_csv_trace_file(args.text("trace"));
   core::StandaloneOptions options;
-  options.weight_ratio = static_cast<std::uint32_t>(args.get_u64("weight", 1));
+  options.weight_ratio = static_cast<std::uint32_t>(args.integer("weight"));
   options.horizon = core::arrival_horizon(trace);
-  const auto result = core::run_standalone(
-      ssd::config_by_name(args.get("ssd", "SSD-A")), trace, options);
+  const auto result = core::run_standalone(ssd::config_by_name(args.text("ssd")),
+                                           trace, options);
   std::printf("%zu requests: read %.2f Gbps, write %.2f Gbps, "
               "read latency %.0f us, write latency %.0f us\n",
               trace.size(), result.read_rate.as_gbps(),
@@ -788,19 +726,12 @@ int cmd_replay(const Args& args) {
   return 0;
 }
 
-/// Validate one bench-harness JSON file (schema "src-bench-v1", written by
-/// bench/harness.hpp). Returns an empty string when valid, else a message.
-std::string check_bench_json(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return "cannot open file";
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  obs::Json doc;
-  try {
-    doc = obs::Json::parse(text);
-  } catch (const std::runtime_error& err) {
-    return err.what();
-  }
+/// Load one bench-harness JSON file (schema "src-bench-v1", written by
+/// bench/harness.hpp) into `doc` and validate it. Returns an empty string
+/// when valid, else a message.
+std::string load_bench_json(const std::string& path, obs::Json& doc) {
+  const std::string error = load_json_file(path, doc);
+  if (!error.empty()) return error;
   if (!doc.is_object()) return "top level is not an object";
   const obs::Json* schema = doc.find("schema");
   if (schema == nullptr || !schema->is_string() ||
@@ -838,12 +769,12 @@ std::string check_bench_json(const std::string& path) {
   return "";
 }
 
-/// Shared driver for the *check commands: validate each positional file
-/// with `check`, print per-file ok/FAILED lines, exit 1 on any failure.
+/// Shared driver for the *check commands: validate each operand file with
+/// `check`, print per-file ok/FAILED lines, exit 1 on any failure.
 int run_file_checks(const Args& args, const char* what,
                     const std::function<std::string(const std::string&)>& check) {
   int failures = 0;
-  for (const std::string& path : args.positionals()) {
+  for (const std::string& path : args.operands()) {
     const std::string error = check(path);
     if (error.empty()) {
       std::printf("ok      %s\n", path.c_str());
@@ -854,23 +785,9 @@ int run_file_checks(const Args& args, const char* what,
   }
   if (failures > 0) {
     std::fprintf(stderr, "%s: %d of %zu file(s) invalid\n", what, failures,
-                 args.positionals().size());
+                 args.operands().size());
   }
   return failures == 0 ? 0 : 1;
-}
-
-/// Parse a JSON file; empty error string on success.
-std::string load_json_file(const std::string& path, obs::Json& out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return "cannot open file";
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  try {
-    out = obs::Json::parse(text);
-  } catch (const std::runtime_error& err) {
-    return err.what();
-  }
-  return "";
 }
 
 /// Compare a schema-valid bench file against a schema-valid baseline:
@@ -917,44 +834,19 @@ std::string diff_bench_json(const obs::Json& baseline, const obs::Json& doc,
 }
 
 int cmd_benchcheck(const Args& args) {
-  if (args.has("help") || args.positionals().empty()) {
-    std::puts("srcctl benchcheck BENCH_a.json [BENCH_b.json ...]\n"
-              "                  [--baseline BENCH_base.json] [--tolerance F]\n"
-              "\n"
-              "Validates bench-harness output files against the src-bench-v1\n"
-              "schema; exits non-zero if any file is missing or malformed.\n"
-              "With --baseline, additionally gates each file against the\n"
-              "committed baseline: identical section names, exact `items`,\n"
-              "and `events` within --tolerance (relative, default 0.1).\n"
-              "Wall-clock timings are never compared.");
-    return args.has("help") ? 0 : 2;
-  }
-  if (!args.has("baseline")) {
-    return run_file_checks(args, "benchcheck", check_bench_json);
-  }
-  const std::string baseline_path = args.get("baseline", "");
-  std::string error = check_bench_json(baseline_path);
   obs::Json baseline;
-  if (error.empty()) error = load_json_file(baseline_path, baseline);
-  if (!error.empty()) {
-    std::fprintf(stderr, "benchcheck: baseline %s: %s\n",
-                 baseline_path.c_str(), error.c_str());
-    return 2;
+  if (args.has("baseline")) {
+    const std::string error = load_bench_json(args.text("baseline"), baseline);
+    if (!error.empty()) throw UsageError("--baseline", error);
   }
-  const double tolerance = args.get_double("tolerance", 0.1);
-  if (tolerance < 0.0) {
-    std::fprintf(stderr, "benchcheck: --tolerance must be >= 0\n");
-    return 2;
-  }
-  return run_file_checks(
-      args, "benchcheck", [&baseline, tolerance](const std::string& path) {
-        std::string err = check_bench_json(path);
-        if (!err.empty()) return err;
-        obs::Json doc;
-        err = load_json_file(path, doc);
-        if (!err.empty()) return err;
-        return diff_bench_json(baseline, doc, tolerance);
-      });
+  return run_file_checks(args, "benchcheck", [&](const std::string& path) {
+    obs::Json doc;
+    std::string error = load_bench_json(path, doc);
+    if (error.empty() && args.has("baseline")) {
+      error = diff_bench_json(baseline, doc, args.number("tolerance"));
+    }
+    return error;
+  });
 }
 
 /// Perf trajectory diff between two src-bench-v1 files: per section,
@@ -964,34 +856,15 @@ int cmd_benchcheck(const Args& args) {
 /// the deterministic workload and never looks at speed): benchdiff is the
 /// speed gate, run on measurements from the same machine class.
 int cmd_benchdiff(const Args& args) {
-  if (args.has("help") || args.positionals().size() != 2) {
-    std::puts(
-        "srcctl benchdiff OLD.json NEW.json [--tolerance F]\n"
-        "\n"
-        "Compares two src-bench-v1 files section by section on throughput\n"
-        "(events/sec for event-based sections, items/sec otherwise) and\n"
-        "prints a per-section delta table. Exits 1 when any section\n"
-        "regresses by more than --tolerance (relative, default 0.15), or\n"
-        "when the section sets differ. Positive deltas are improvements.");
-    return args.has("help") ? 0 : 2;
-  }
-  const std::string old_path = args.positionals()[0];
-  const std::string new_path = args.positionals()[1];
-  const double tolerance = args.get_double("tolerance", 0.15);
-  if (tolerance < 0.0) {
-    std::fprintf(stderr, "benchdiff: --tolerance must be >= 0\n");
-    return 2;
-  }
+  const std::string old_path = args.operands()[0];
+  const std::string new_path = args.operands()[1];
+  const double tolerance = args.number("tolerance");
 
   obs::Json old_doc, new_doc;
   for (const auto& [path, doc] : {std::pair{&old_path, &old_doc},
                                   std::pair{&new_path, &new_doc}}) {
-    std::string error = check_bench_json(*path);
-    if (error.empty()) error = load_json_file(*path, *doc);
-    if (!error.empty()) {
-      std::fprintf(stderr, "benchdiff: %s: %s\n", path->c_str(), error.c_str());
-      return 2;
-    }
+    const std::string error = load_bench_json(*path, *doc);
+    if (!error.empty()) throw UsageError("", *path + ": " + error);
   }
 
   std::map<std::string, const obs::Json*> old_sections;
@@ -1048,16 +921,9 @@ int cmd_benchdiff(const Args& args) {
 /// scenarios, "src-pod-run-v1" for pod-grammar runs on the lane engine.
 /// Returns an empty string when valid, else a message.
 std::string check_run_json(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return "cannot open file";
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
   obs::Json doc;
-  try {
-    doc = obs::Json::parse(text);
-  } catch (const std::runtime_error& err) {
-    return err.what();
-  }
+  const std::string error = load_json_file(path, doc);
+  if (!error.empty()) return error;
   if (!doc.is_object()) return "top level is not an object";
   const obs::Json* schema = doc.find("schema");
   if (schema == nullptr || !schema->is_string() ||
@@ -1127,98 +993,33 @@ std::string check_run_json(const std::string& path) {
 }
 
 int cmd_metricscheck(const Args& args) {
-  if (args.has("help") || args.positionals().empty()) {
-    std::puts("srcctl metricscheck report.json [more.json ...]\n"
-              "\n"
-              "Validates `srcctl run --metrics-out` reports against the\n"
-              "src-run-v1 schema (src-pod-run-v1 for pod-grammar runs);\n"
-              "exits non-zero if any file is malformed.");
-    return args.has("help") ? 0 : 2;
-  }
   return run_file_checks(args, "metricscheck", check_run_json);
-}
-
-/// Write a scenario manifest (to_json_text already ends with a newline).
-void write_manifest(const std::string& path,
-                    const scenario::ScenarioSpec& spec) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    std::exit(1);
-  }
-  out << scenario::to_json_text(spec);
-}
-
-/// Resolve `--base` for chaos commands: a preset name, or (when it looks
-/// like a path) a manifest file. Defaults to the stock chaos base.
-bool load_chaos_base(const Args& args, scenario::ScenarioSpec& spec) {
-  const std::string base = args.get("base", "");
-  if (base.empty()) {
-    spec = chaos::default_base_spec();
-    return true;
-  }
-  try {
-    if (base.find('.') != std::string::npos ||
-        base.find('/') != std::string::npos) {
-      spec = scenario::load_scenario_file(base);
-    } else {
-      spec = scenario::preset_spec(base);
-    }
-  } catch (const std::exception& err) {
-    std::fprintf(stderr, "%s\n", err.what());
-    return false;
-  }
-  return true;
-}
-
-/// Prepare the model every chaos run shares: --model loads a file, else an
-/// SRC-enabled spec trains once via its tpm source. `tpm` may stay null
-/// (DCQCN-only base). Returns false on a load failure.
-bool chaos_tpm(const Args& args, const scenario::ScenarioSpec& spec,
-               core::Tpm& loaded, std::shared_ptr<const core::Tpm>& owned,
-               const core::Tpm*& tpm) {
-  tpm = nullptr;
-  try {
-    if (args.has("model")) {
-      loaded = core::Tpm::load_file(args.get("model", ""));
-      tpm = &loaded;
-      std::printf("loaded TPM from %s\n", args.get("model", "").c_str());
-    } else if (spec.src.enabled && spec.src.tpm.source != "none") {
-      std::printf("training TPM for %s (use --model file.tpm to skip)...\n",
-                  spec.ssd.name.c_str());
-      owned = scenario::tpm_registry().at(spec.src.tpm.source)(spec.src.tpm,
-                                                               spec.ssd);
-      tpm = owned.get();
-    }
-  } catch (const std::exception& err) {
-    std::fprintf(stderr, "%s\n", err.what());
-    return false;
-  }
-  return true;
 }
 
 int chaos_run(const Args& args) {
   chaos::CampaignSpec campaign;
-  if (!load_chaos_base(args, campaign.base)) return 2;
-  campaign.trials = args.get_u64("trials", campaign.trials);
-  campaign.seed = args.get_u64("seed", campaign.seed);
-  campaign.sampler.link_downs = args.has("link-downs");
-  const std::size_t jobs = args.get_u64("jobs", 0);
-  const std::string out_dir = args.get("out-dir", "");
-  if (!out_dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(out_dir, ec);
-    if (ec) {
-      std::fprintf(stderr, "cannot create %s: %s\n", out_dir.c_str(),
-                   ec.message().c_str());
-      return 1;
+  // --base is a preset name or (when it looks like a path) a manifest file.
+  const std::string base = args.text("base");
+  if (base.empty()) {
+    campaign.base = chaos::default_base_spec();
+  } else if (base.find_first_of("./") != std::string::npos) {
+    campaign.base = load_manifest(base);
+  } else {
+    try {
+      campaign.base = scenario::preset_spec(base);
+    } catch (const std::invalid_argument& err) {
+      throw UsageError("--base", err.what());
     }
   }
+  campaign.trials = args.integer("trials");
+  campaign.seed = args.integer("seed");
+  campaign.sampler.link_downs = args.has("link-downs");
+  const std::size_t jobs = args.integer("jobs");
+  const std::string out_dir = args.text("out-dir");
+  if (!out_dir.empty()) fs::create_directory(out_dir);
 
-  core::Tpm loaded;
-  std::shared_ptr<const core::Tpm> owned;
-  const core::Tpm* tpm = nullptr;
-  if (!chaos_tpm(args, campaign.base, loaded, owned, tpm)) return 1;
+  const auto model = resolve_tpm(args, campaign.base);
+  const core::Tpm* tpm = model.get();
 
   std::printf("chaos: %zu trials over '%s' (campaign seed %llu)...\n",
               campaign.trials, campaign.base.name.c_str(),
@@ -1242,8 +1043,7 @@ int chaos_run(const Args& args) {
     }
     if (!args.has("no-shrink") && failure.deterministic) {
       chaos::ShrinkOptions shrink_options;
-      shrink_options.max_runs =
-          args.get_u64("shrink-budget", shrink_options.max_runs);
+      shrink_options.max_runs = args.integer("shrink-budget");
       art.shrink = chaos::shrink(failure.spec, tpm, shrink_options);
       art.shrunk = art.shrink.reproduced;
       if (art.shrunk) {
@@ -1273,19 +1073,11 @@ int chaos_run(const Args& args) {
 }
 
 int chaos_replay(const Args& args, const std::string& path) {
-  scenario::ScenarioSpec spec;
-  try {
-    spec = scenario::load_scenario_file(path);
-  } catch (const std::runtime_error& err) {
-    std::fprintf(stderr, "%s\n", err.what());
-    return 2;
-  }
+  scenario::ScenarioSpec spec = load_manifest(path);
   spec.verify.enabled = true;
 
-  core::Tpm loaded;
-  std::shared_ptr<const core::Tpm> owned;
-  const core::Tpm* tpm = nullptr;
-  if (!chaos_tpm(args, spec, loaded, owned, tpm)) return 1;
+  const auto model = resolve_tpm(args, spec);
+  const core::Tpm* tpm = model.get();
 
   const chaos::RunOutcome first = chaos::run_verified(spec, tpm);
   const chaos::RunOutcome second = chaos::run_verified(spec, tpm);
@@ -1304,21 +1096,13 @@ int chaos_replay(const Args& args, const std::string& path) {
 }
 
 int chaos_shrink(const Args& args, const std::string& path) {
-  scenario::ScenarioSpec spec;
-  try {
-    spec = scenario::load_scenario_file(path);
-  } catch (const std::runtime_error& err) {
-    std::fprintf(stderr, "%s\n", err.what());
-    return 2;
-  }
+  const scenario::ScenarioSpec spec = load_manifest(path);
 
-  core::Tpm loaded;
-  std::shared_ptr<const core::Tpm> owned;
-  const core::Tpm* tpm = nullptr;
-  if (!chaos_tpm(args, spec, loaded, owned, tpm)) return 1;
+  const auto model = resolve_tpm(args, spec);
+  const core::Tpm* tpm = model.get();
 
   chaos::ShrinkOptions options;
-  options.max_runs = args.get_u64("budget", options.max_runs);
+  options.max_runs = args.integer("budget");
   const chaos::ShrinkResult result = chaos::shrink(spec, tpm, options);
   if (!result.reproduced) {
     std::fprintf(stderr,
@@ -1327,7 +1111,7 @@ int chaos_shrink(const Args& args, const std::string& path) {
                  path.c_str());
     return 1;
   }
-  const std::string out = args.get("out", "min.json");
+  const std::string out = args.text("out");
   write_manifest(out, result.minimal);
   std::printf("shrunk [%s]: %zu -> %zu fault entries in %zu runs, digest %s "
               "-> %s\n",
@@ -1338,97 +1122,29 @@ int chaos_shrink(const Args& args, const std::string& path) {
 }
 
 int cmd_chaos(const Args& args) {
-  if (args.has("help") || args.positionals().empty()) {
-    std::puts(
-        "srcctl chaos run [--base preset|file.json] [--trials 200] [--seed 1]\n"
-        "                 [--jobs N] [--out-dir DIR] [--no-shrink]\n"
-        "                 [--shrink-budget 150] [--link-downs]\n"
-        "                 [--model file.tpm]\n"
-        "srcctl chaos replay <manifest.json> [--model file.tpm]\n"
-        "srcctl chaos shrink <failing.json> [-o|--out min.json] [--budget 150]\n"
-        "                 [--model file.tpm]\n"
-        "\n"
-        "run    samples a randomized fault plan per trial over the base\n"
-        "       scenario and runs every trial with all invariant checkers\n"
-        "       armed; failing trials are replayed (determinism proof),\n"
-        "       shrunk to minimal reproducers, and recorded in an\n"
-        "       src-chaos-v1 report under --out-dir.\n"
-        "replay runs a manifest twice with verification forced on and\n"
-        "       compares the outcome digests bit for bit.\n"
-        "shrink reduces a failing manifest to a minimal scenario that still\n"
-        "       trips the same checker, written as a runnable manifest.\n"
-        "\n"
-        "Exit codes: 0 clean, 1 failure (nondeterminism, nothing to shrink),\n"
-        "2 usage error, 3 invariant violations found.");
-    return args.has("help") ? 0 : 2;
-  }
-  const std::string& sub = args.positionals().front();
+  const std::string& sub = args.operands().front();
   if (sub == "run") {
-    if (args.positionals().size() != 1) {
-      std::fprintf(stderr, "chaos run: unexpected argument '%s'\n",
-                   args.positionals()[1].c_str());
-      return 2;
+    if (args.operands().size() != 1) {
+      throw UsageError("", "run takes no <manifest.json>");
     }
     return chaos_run(args);
   }
-  if (sub == "replay" || sub == "shrink") {
-    if (args.positionals().size() != 2) {
-      std::fprintf(stderr, "chaos %s: expected exactly one manifest file\n",
-                   sub.c_str());
-      return 2;
-    }
-    return sub == "replay" ? chaos_replay(args, args.positionals()[1])
-                           : chaos_shrink(args, args.positionals()[1]);
+  if (args.operands().size() != 2) {
+    throw UsageError("", sub + " needs a <manifest.json>");
   }
-  std::fprintf(stderr, "chaos: unknown subcommand '%s'\n", sub.c_str());
-  return 2;
+  return sub == "replay" ? chaos_replay(args, args.operands()[1])
+                         : chaos_shrink(args, args.operands()[1]);
 }
 
-/// `srcctl lint` — run the srclint binary that ships beside this
-/// executable, forwarding all flags and files verbatim (srclint owns its
-/// own CLI; see tools/srclint). Conveniences added on top:
-///   - when neither --root nor explicit files are given, the repository
-///     root is autodetected by walking up from the current directory
-///     (marker: a tools/srclint directory next to src/),
-///   - the committed baseline (tools/srclint/baseline.txt) is applied
-///     automatically in that mode unless the caller names one.
-/// The linter's exit code is propagated unchanged (0/1/2).
-int cmd_lint(int argc, char** argv) {
-  namespace fs = std::filesystem;
-  std::vector<std::string> forward(argv + 2, argv + argc);
-
-  static const std::vector<std::string> kValueFlags = {
-      "--root",         "--rules",          "--cxx",       "--jobs",
-      "--format",       "--baseline",       "--write-baseline",
-      "--sarif-out",    "--shared-inventory", "--fail-shared-under"};
-  bool has_root = false, has_baseline = false, has_files = false;
-  for (std::size_t i = 0; i < forward.size(); ++i) {
-    const std::string& arg = forward[i];
-    if (arg == "--help") {
-      std::puts(
-          "srcctl lint [srclint flags] [files...]\n"
-          "  with no --root and no files, lints the enclosing repository\n"
-          "  against its committed baseline; otherwise forwards verbatim.\n"
-          "  srclint flags: --rules R1,.. --format text|json|sarif\n"
-          "  --baseline F --write-baseline F --sarif-out F\n"
-          "  --shared-inventory F --fail-shared-under PREFIX\n"
-          "  --no-header-check --cxx CC --jobs N --list");
-      return 0;
-    }
-    if (arg == "--root") has_root = true;
-    if (arg == "--baseline" || arg == "--write-baseline") has_baseline = true;
-    if (arg.rfind("--", 0) == 0) {
-      // Skip this flag's value so it is not mistaken for a file.
-      if (std::find(kValueFlags.begin(), kValueFlags.end(), arg) !=
-          kValueFlags.end()) {
-        ++i;
-      }
-      continue;
-    }
-    has_files = true;
-  }
-
-  if (!has_root && !has_files) {
+/// `srcctl lint` — replace this process with the srclint binary built
+/// beside it, forwarding the checked command line verbatim, so the linter's
+/// exit code (0/1/2) is srcctl's. With neither --root nor files, the
+/// repository root is found by walking up from the current directory (a
+/// tools/srclint directory next to src/), and the committed baseline
+/// (tools/srclint/baseline.txt) applies unless the caller names one.
+int cmd_lint(const Args& args) {
+  std::vector<std::string> forward = args.tokens();
+  if (!args.has("root") && args.operands().empty()) {
     fs::path probe = fs::current_path();
     fs::path root;
     for (; !probe.empty(); probe = probe.parent_path()) {
@@ -1440,15 +1156,14 @@ int cmd_lint(int argc, char** argv) {
       if (probe == probe.root_path()) break;
     }
     if (root.empty()) {
-      std::fprintf(stderr,
-                   "srcctl lint: not inside the repository (no tools/srclint "
-                   "found walking up from the current directory); pass "
-                   "--root or explicit files\n");
-      return 2;
+      throw UsageError("", "not inside the repository (no tools/srclint "
+                           "found walking up from the current directory); "
+                           "pass --root or explicit files");
     }
     forward.insert(forward.begin(), {"--root", root.string()});
     const fs::path baseline = root / "tools" / "srclint" / "baseline.txt";
-    if (!has_baseline && fs::exists(baseline)) {
+    if (!args.has("baseline") && !args.has("write-baseline") &&
+        fs::exists(baseline)) {
       forward.push_back("--baseline");
       forward.push_back(baseline.string());
     }
@@ -1456,99 +1171,175 @@ int cmd_lint(int argc, char** argv) {
 
   // The srclint binary is built into the same directory as srcctl.
   std::error_code ec;
-  fs::path self = fs::read_symlink("/proc/self/exe", ec);
-  if (ec) self = fs::absolute(argv[0], ec);
+  const fs::path self = fs::read_symlink("/proc/self/exe", ec);
   const fs::path srclint = self.parent_path() / "srclint";
-  if (!fs::exists(srclint)) {
-    std::fprintf(stderr, "srcctl lint: srclint binary not found at '%s' "
-                 "(build the `srclint` target)\n", srclint.c_str());
-    return 2;
+  if (ec || !fs::exists(srclint)) {
+    throw std::runtime_error("srclint binary not found at '" +
+                             srclint.string() + "' (build the `srclint` target)");
   }
 
-  std::vector<std::string> exec_args;
-  exec_args.push_back(srclint.string());
+  std::vector<std::string> exec_args{srclint.string()};
   exec_args.insert(exec_args.end(), forward.begin(), forward.end());
   std::vector<char*> exec_argv;
-  exec_argv.reserve(exec_args.size() + 1);
   for (std::string& a : exec_args) exec_argv.push_back(a.data());
   exec_argv.push_back(nullptr);
-
-  const pid_t pid = fork();
-  if (pid < 0) {
-    std::perror("srcctl lint: fork");
-    return 2;
-  }
-  if (pid == 0) {
-    execv(exec_argv[0], exec_argv.data());
-    std::perror("srcctl lint: execv");
-    _exit(127);
-  }
-  int status = 0;
-  if (waitpid(pid, &status, 0) < 0) {
-    std::perror("srcctl lint: waitpid");
-    return 2;
-  }
-  return WIFEXITED(status) ? WEXITSTATUS(status) : 2;
+  std::fflush(stdout);
+  execv(exec_argv[0], exec_argv.data());
+  throw std::runtime_error("cannot execute " + srclint.string());
 }
 
-/// The subcommand table: name, one-line summary for the generated help,
-/// the flags the handler reads (space-separated; `--help` is always
-/// accepted and main rejects any other flag up front), handler, and
-/// whether positional operands are accepted (commands that take only flags
-/// reject strays up front). Forwarding commands (lint) set `raw_handler`
-/// instead and receive untouched argc/argv.
-struct Command {
-  const char* name;
-  const char* summary;
-  const char* flags;
-  int (*handler)(const Args&) = nullptr;
-  bool takes_positionals = false;
-  int (*raw_handler)(int, char**) = nullptr;
-};
+// --- the command table ---------------------------------------------------
+
+const char* const kSsds = "SSD-A|SSD-B|SSD-C";
 
 const Command kCommands[] = {
     {"sweep", "fig-5-style weight-ratio sweep on one workload",
-     "count iat seed size-kb ssd", cmd_sweep},
-    {"experiment", "DCQCN-only vs DCQCN-SRC on an evaluation preset",
-     "initiators metrics-out model preset seed targets", cmd_experiment},
+     {{"ssd", choice(kSsds), "SSD-A", "SSD model"},
+      {"iat", positive(), "15", "mean inter-arrival time per stream, us"},
+      {"size-kb", positive(), "32", "mean request size, KB"},
+      {"count", integer(1), "6000", "requests per stream"},
+      {"seed", integer(), "7", "trace seed"}},
+     {},
+     cmd_sweep},
     {"run", "run a scenario manifest (src-scenario-v1 JSON)",
-     "dump lanes lenient metrics-out model", cmd_run, true},
+     {{"model", kInput, "", "pre-fitted TPM; overrides the manifest's src.tpm source"},
+      {"metrics-out", kOutput, "", "write a src-run-v1 report (src-pod-run-v1 for pods)"},
+      {"trace-out", kOutput, "", "record a Chrome trace_event JSON (star, lanes 0)"},
+      {"trace-capacity", integer(1), "65536", "trace ring-buffer size, events"},
+      {"lanes", integer(), "", "override the manifest's lane count"},
+      {"dump", kSwitch, "", "print the parsed manifest as canonical JSON; do not run"},
+      {"lenient", kSwitch, "", "exit 0 instead of 3 on a health failure"}},
+     {{"scenario.json", kInput, 1, 1, "the manifest to run"}},
+     cmd_run,
+     "Lanes: 0 = classic single-kernel engine; N >= 1 = sharded lane engine\n"
+     "with N worker threads, identical results at every N. Pod manifests\n"
+     "always run on the lane engine. Load a trace at https://ui.perfetto.dev.\n"
+     "Exit codes: 0 clean run, 1 runtime failure, 2 usage error, 3 health\n"
+     "failure (a controller guardrail tripped, requests exhausted their\n"
+     "retries, or a `verify` invariant checker fired)."},
     {"scenarios", "list the built-in scenario presets / dump them as JSON",
-     "all out-dir", cmd_scenarios, true},
-    {"trace", "run a preset with tracing on; emit Chrome trace JSON",
-     "capacity metrics-out model out preset", cmd_trace},
+     {{"all", kSwitch, "", "write every preset to --out-dir as <name>.json"},
+      {"out-dir", kOutput, "", "directory for --all"}},
+     {{"preset", kText, 0, 1, "dump this preset as JSON"}},
+     cmd_scenarios},
     {"tpm", "train a throughput prediction model and inspect it",
-     "save seed ssd", cmd_tpm},
+     {{"ssd", choice(kSsds), "SSD-A", "SSD model to train on"},
+      {"seed", integer(), "11", "training-grid seed"},
+      {"save", kOutput, "", "write the fitted model here"}},
+     {},
+     cmd_tpm},
     {"trace-gen", "generate a CSV block trace (micro / vdi / cbs)",
-     "count iat out preset seed size-kb", cmd_trace_gen},
-    {"trace-stats", "summarize a CSV block trace", "trace", cmd_trace_stats},
+     {{"out", required(kOutput), "", "CSV file to write (-o)"},
+      {"preset", choice("micro|vdi|cbs"), "micro", "workload family"},
+      {"count", integer(1), "5000", "requests per stream"},
+      {"iat", positive(), "15", "micro: mean inter-arrival time, us"},
+      {"size-kb", positive(), "32", "micro: mean request size, KB"},
+      {"seed", integer(), "7", "trace seed"}},
+     {},
+     cmd_trace_gen},
+    {"trace-stats", "summarize a CSV block trace",
+     {{"trace", required(kInput), "", "CSV trace to read"}},
+     {},
+     cmd_trace_stats},
     {"replay", "replay a CSV trace against a simulated SSD",
-     "ssd trace weight", cmd_replay},
-    {"faults", "canned fault-injection scenario with timeout/retry",
-     "devices drop-end-ms drop-prob drop-start-ms max-retries no-retry "
-     "outage-device outage-end-ms outage-start-ms requests seed",
-     cmd_faults},
+     {{"trace", required(kInput), "", "CSV trace to replay"},
+      {"ssd", choice(kSsds), "SSD-A", "SSD model"},
+      {"weight", integer(1, 4294967295.0), "1", "SSQ weight ratio w"}},
+     {},
+     cmd_replay},
     {"chaos", "randomized fault campaigns with invariant verification",
-     "base budget jobs link-downs model no-shrink out out-dir seed "
-     "shrink-budget trials",
-     cmd_chaos, true},
+     {{"base", kText, "", "run: base preset name or manifest file"},
+      {"trials", integer(1), "200", "run: number of trials"},
+      {"seed", integer(), "1", "run: campaign seed"},
+      {"jobs", integer(), "0", "run: worker threads (0 = hardware)"},
+      {"out-dir", kOutput, "", "run: write reproducers and the src-chaos-v1 report here"},
+      {"no-shrink", kSwitch, "", "run: do not shrink failing trials"},
+      {"shrink-budget", integer(1), "150", "run: max runs per shrink"},
+      {"link-downs", kSwitch, "", "run: also sample link-down faults"},
+      {"budget", integer(1), "150", "shrink: max runs"},
+      {"out", kOutput, "min.json", "shrink: minimal manifest to write (-o)"},
+      {"model", kInput, "", "pre-fitted TPM shared by every run"}},
+     {{"command", choice("run|replay|shrink"), 1, 1, "what to do"},
+      {"manifest.json", kInput, 0, 1, "replay/shrink: the manifest"}},
+     cmd_chaos,
+     "run samples a fault plan per trial with every invariant checker armed;\n"
+     "replay runs a manifest twice and compares digests; shrink reduces a\n"
+     "failing manifest to a minimal one that trips the same checker.\n"
+     "Exit codes: 0 clean, 1 nondeterminism or nothing to shrink, 2 usage\n"
+     "error, 3 invariant violations found."},
     {"benchcheck", "validate BENCH_*.json files against src-bench-v1",
-     "baseline tolerance", cmd_benchcheck, true},
+     {{"baseline", kInput, "", "also gate section names, items and events against it"},
+      {"tolerance", number(0.0), "0.1", "relative events tolerance for --baseline"}},
+     {{"BENCH.json", kInput, 1, kMany, "bench-harness output"}},
+     cmd_benchcheck},
     {"benchdiff", "per-section throughput delta between two BENCH_*.json",
-     "tolerance", cmd_benchdiff, true},
+     {{"tolerance", number(0.0), "0.15", "relative regression that fails"}},
+     {{"OLD.json", kInput, 1, 1, "baseline measurement"},
+      {"NEW.json", kInput, 1, 1, "new measurement"}},
+     cmd_benchdiff},
     {"metricscheck", "validate srcctl run reports (src-run-v1 / src-pod-run-v1)",
-     "", cmd_metricscheck, true},
+     {},
+     {{"report.json", kInput, 1, kMany, "a `srcctl run --metrics-out` report"}},
+     cmd_metricscheck},
     {"lint", "run the srclint determinism & invariant linter (R1-R9)",
-     "", nullptr, true, cmd_lint},
+     {{"root", kInput, "", "lint the tree under this directory"},
+      {"rules", kText, "", "comma-separated rule ids (R1,..)"},
+      {"format", choice("text|json|sarif"), "text", "report format"},
+      {"baseline", kInput, "", "known findings to ignore"},
+      {"write-baseline", kOutput, "", "write the current findings as a baseline"},
+      {"sarif-out", kOutput, "", "also write SARIF here"},
+      {"shared-inventory", kOutput, "", "write the R8 shared-state inventory"},
+      {"fail-shared-under", kText, "", "fail on shared state under this prefix"},
+      {"no-header-check", kSwitch, "", "skip the header self-containment check"},
+      {"cxx", kText, "", "compiler for the header check"},
+      {"jobs", integer(), "", "parallel header-check jobs"},
+      {"list", kSwitch, "", "list the rules"}},
+     {{"file", kInput, 0, kMany, "lint only these files"}},
+     cmd_lint,
+     "With no --root and no files, lints the enclosing repository against\n"
+     "its committed baseline."},
 };
 
 int print_usage(std::FILE* out) {
   std::fprintf(out, "usage: srcctl <command> [--flags]\n\ncommands:\n");
   for (const Command& command : kCommands) {
-    std::fprintf(out, "  %-12s %s\n", command.name, command.summary);
+    std::fprintf(out, "  %-13s %s\n", command.name, command.summary);
   }
   std::fprintf(out, "\nrun `srcctl <command> --help` for per-command flags\n");
   return out == stdout ? 0 : 2;
+}
+
+/// `srcctl <command> --help`, generated from the command's declarations.
+void print_help(const Command& command) {
+  std::string usage = std::string("usage: srcctl ") + command.name;
+  std::vector<std::pair<std::string, std::string>> rows;
+  for (const Operand& operand : command.operands) {
+    const std::string name = "<" + std::string(operand.name) + ">";
+    const std::string slot = name + (operand.max > 1 ? "..." : "");
+    usage += " " + (operand.min == 0 ? "[" + slot + "]" : slot);
+    rows.emplace_back(name + " <" + describe(operand.type) + ">", operand.help);
+  }
+  usage += command.flags.empty() ? "" : " [flags]";
+  const std::size_t operand_rows = rows.size();
+  for (const Flag& flag : command.flags) {
+    const std::string type = describe(flag.type);
+    const std::string note = flag.type.required ? " (required)"
+                             : flag.fallback.empty() ? ""
+                                                     : " (default " + flag.fallback + ")";
+    rows.emplace_back("--" + flag.name + (type.empty() ? "" : " <" + type + ">"),
+                      flag.help + note);
+  }
+  std::size_t width = 0;
+  for (const auto& row : rows) width = std::max(width, row.first.size());
+  std::printf("%s\n\n%s\n", usage.c_str(), command.summary);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (i == 0 || i == operand_rows) {
+      std::printf("\n%s:\n", i < operand_rows ? "operands" : "flags");
+    }
+    std::printf("  %-*s  %s\n", static_cast<int>(width), rows[i].first.c_str(),
+                rows[i].second.c_str());
+  }
+  if (*command.notes != '\0') std::printf("\n%s\n", command.notes);
 }
 
 }  // namespace
@@ -1558,26 +1349,31 @@ int main(int argc, char** argv) {
   if (name.empty() || name == "help" || name == "--help") {
     return print_usage(name.empty() ? stderr : stdout);
   }
-  for (const Command& command : kCommands) {
-    if (name != command.name) continue;
-    if (command.raw_handler != nullptr) return command.raw_handler(argc, argv);
-    const Args args(argc, argv, 2);
-    const std::string known = std::string(" help ") + command.flags + " ";
-    for (const auto& [flag, value] : args.flags()) {
-      (void)value;
-      if (known.find(" " + flag + " ") == std::string::npos) {
-        std::fprintf(stderr, "srcctl: --%s: unknown flag for '%s'\n",
-                     flag.c_str(), command.name);
-        return 2;
-      }
-    }
-    if (!command.takes_positionals && !args.positionals().empty()) {
-      std::fprintf(stderr, "%s: unexpected argument '%s'\n", command.name,
-                   args.positionals().front().c_str());
-      return 2;
-    }
-    return command.handler(args);
+  const auto command = std::find_if(
+      std::begin(kCommands), std::end(kCommands),
+      [&](const Command& c) { return name == c.name; });
+  if (command == std::end(kCommands)) {
+    std::fprintf(stderr, "srcctl: unknown command '%s'\n\n", name.c_str());
+    return print_usage(stderr);
   }
-  std::fprintf(stderr, "srcctl: unknown command '%s'\n\n", name.c_str());
-  return print_usage(stderr);
+  try {
+    const Args args(*command, argc, argv);
+    if (args.has("help")) {
+      print_help(*command);
+      return 0;
+    }
+    args.check();
+    return command->handler(args);
+  } catch (const UsageError& err) {
+    if (err.subject.empty()) {
+      std::fprintf(stderr, "srcctl %s: %s\n", name.c_str(), err.what());
+    } else {
+      std::fprintf(stderr, "srcctl: %s: %s\n", err.subject.c_str(), err.what());
+    }
+    return 2;
+  } catch (const std::exception& err) {
+    std::fflush(stdout);
+    std::fprintf(stderr, "srcctl %s: %s\n", name.c_str(), err.what());
+    return 1;
+  }
 }
