@@ -32,11 +32,12 @@ struct Outcome {
 };
 
 Outcome run(bool use_src, const core::Tpm* tpm) {
-  sim::Simulator sim;
+  sim::LaneGroup lanes{1, 1};
+  sim::Simulator& sim = lanes.kernel(0);
   net::NetConfig net_config;
   net_config.pfc.xoff_bytes = 96 * 1024;
   net_config.pfc.xon_bytes = 48 * 1024;
-  net::Network network(sim, net_config);
+  net::Network network(lanes, net_config);
   net::ClosParams params;
   params.link_rate = Rate::gbps(4.0);  // scaled as in the presets (DESIGN SS5)
   const auto topo = net::make_clos(network, params);

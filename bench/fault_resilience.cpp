@@ -49,8 +49,9 @@ struct Outcome {
 };
 
 Outcome run(bool with_faults, bool with_retry, std::uint64_t seed) {
-  sim::Simulator sim;
-  net::Network network(sim, net::NetConfig{});
+  sim::LaneGroup lanes{1, 1};
+  sim::Simulator& sim = lanes.kernel(0);
+  net::Network network(lanes, net::NetConfig{});
   auto topo = net::make_star(network, 2, Rate::gbps(10.0), common::kMicrosecond);
   fabric::FabricContext context;
   fabric::Initiator initiator(network, topo.hosts[0], context);

@@ -19,8 +19,9 @@ using common::Rate;
 /// 16 rounds of two disjoint host pairs exchanging `message_bytes` messages
 /// over a 4-host star.
 std::uint64_t run_star(std::uint64_t message_bytes, std::uint64_t& sink) {
-  sim::Simulator sim;
-  net::Network network(sim, net::NetConfig{});
+  sim::LaneGroup lanes{1, 1};
+  sim::Simulator& sim = lanes.kernel(0);
+  net::Network network(lanes, net::NetConfig{});
   const auto topo = net::make_star(network, 4, Rate::gbps(40.0), common::kMicrosecond);
   for (int round = 0; round < 16; ++round) {
     network.host(topo.hosts[0]).send_message(topo.hosts[1], message_bytes);
@@ -34,8 +35,9 @@ std::uint64_t run_star(std::uint64_t message_bytes, std::uint64_t& sink) {
 /// `senders`-to-1 incast through one switch with DCQCN active.
 std::uint64_t run_incast(std::size_t senders, std::uint64_t message_bytes,
                          std::uint64_t& sink) {
-  sim::Simulator sim;
-  net::Network network(sim, net::NetConfig{});
+  sim::LaneGroup lanes{1, 1};
+  sim::Simulator& sim = lanes.kernel(0);
+  net::Network network(lanes, net::NetConfig{});
   const auto topo =
       net::make_star(network, senders + 1, Rate::gbps(40.0), common::kMicrosecond);
   for (std::size_t s = 1; s < topo.hosts.size(); ++s) {
@@ -52,12 +54,13 @@ std::uint64_t run_incast(std::size_t senders, std::uint64_t message_bytes,
 /// cycling. Queues pile deep into the port ring buffers and every hop pays
 /// the ingress-byte accounting.
 std::uint64_t run_pause_storm(std::uint64_t& sink, std::uint64_t& pauses) {
-  sim::Simulator sim;
+  sim::LaneGroup lanes{1, 1};
+  sim::Simulator& sim = lanes.kernel(0);
   net::NetConfig config;
   config.ecn.enabled = false;
   config.pfc.xoff_bytes = 64ull * 1024;
   config.pfc.xon_bytes = 32ull * 1024;
-  net::Network network(sim, config);
+  net::Network network(lanes, config);
   const auto topo = net::make_star(network, 9, Rate::gbps(40.0), common::kMicrosecond);
   for (std::size_t s = 1; s < topo.hosts.size(); ++s) {
     network.host(topo.hosts[s]).send_message(topo.hosts[0], 512 * 1024);
@@ -70,8 +73,9 @@ std::uint64_t run_pause_storm(std::uint64_t& sink, std::uint64_t& pauses) {
 
 /// 32 cross-pod transfers over the paper's 256-host Clos.
 std::uint64_t run_clos(std::uint64_t& sink) {
-  sim::Simulator sim;
-  net::Network network(sim, net::NetConfig{});
+  sim::LaneGroup lanes{1, 1};
+  sim::Simulator& sim = lanes.kernel(0);
+  net::Network network(lanes, net::NetConfig{});
   net::ClosParams params;  // the paper's 256-host fabric
   const auto topo = net::make_clos(network, params);
   for (int i = 0; i < 32; ++i) {

@@ -18,8 +18,9 @@ int main(int argc, char** argv) {
 
   std::printf("Building the paper's Clos testbed (4 pods x [2 leaves + 4 ToRs"
               " + 64 hosts])...\n");
-  sim::Simulator sim;
-  net::Network network(sim, net::NetConfig{});
+  sim::LaneGroup lanes{1, 1};
+  sim::Simulator& sim = lanes.kernel(0);
+  net::Network network(lanes, net::NetConfig{});
   const net::ClosTopology topo = net::make_clos(network);
   std::printf("  %zu hosts, %zu ToR and %zu leaf switches\n\n",
               topo.hosts.size(), topo.tors.size(), topo.leaves.size());

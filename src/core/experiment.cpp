@@ -38,28 +38,17 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   // observatory (or nowhere) for the duration of the run.
   obs::ObsScope obs_scope(config.observatory);
 
-  // Engine selection: classic single-kernel (lanes == 0, the historical
-  // byte-for-byte behaviour) or the sharded lane engine. The star fabric
-  // admits exactly one cut — hosts on shard 0, hub switch on shard 1 —
-  // because the fabric context, monitors, and result sinks are shared
-  // state across all hosts; LaneGroup clamps the lane count to 2.
-  std::optional<sim::LaneGroup> lane_group;
-  std::optional<sim::Simulator> classic_sim;
-  std::optional<net::Network> network_storage;
-  if (config.lanes > 0) {
-    lane_group.emplace(2, config.lanes);
-    network_storage.emplace(*lane_group, config.net);
-  } else {
-    classic_sim.emplace();
-    network_storage.emplace(*classic_sim, config.net);
-  }
-  sim::Simulator& sim =
-      lane_group ? lane_group->kernel(0) : *classic_sim;
-  net::Network& network = *network_storage;
+  // One shard plan per lane setting. lanes == 0: one shard, the hub beside
+  // the hosts. lanes >= 1: hosts on shard 0, the hub switch on shard 1 —
+  // the only cut the star admits, because the fabric context, monitors and
+  // result sinks are shared by all hosts; LaneGroup clamps lanes to 2.
+  sim::LaneGroup lanes(config.lanes == 0 ? 1 : 2, config.lanes);
+  sim::Simulator& sim = lanes.kernel(0);
+  net::Network network(lanes, config.net);
   const net::StarTopology topo = net::make_star(
       network, config.initiator_count + config.target_count, config.link_rate,
       config.link_delay, /*host_shard=*/0,
-      /*hub_shard=*/static_cast<std::uint16_t>(lane_group ? 1 : 0));
+      /*hub_shard=*/static_cast<std::uint16_t>(config.lanes == 0 ? 0 : 1));
 
   // Per-initiator congestion control (mixed-CC coexistence). Must happen
   // before any flow exists: an initiator's choice governs its own uplink
@@ -171,11 +160,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   bool all_done = false;
   while (deadline < config.max_time) {
     deadline += slice;
-    if (lane_group) {
-      lane_group->run_until(deadline);
-    } else {
-      sim.run_until(deadline);
-    }
+    lanes.run_until(deadline);
     // Staleness watchdog poll: a no-op returning immediately unless
     // SrcParams::staleness_window opted in, so healthy runs are untouched.
     for (const auto& controller : controllers) {
@@ -188,13 +173,12 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
         break;
       }
     }
-    if (all_done || (lane_group ? lane_group->drained() : sim.empty())) break;
+    if (all_done || lanes.drained()) break;
   }
 
   result.completed = all_done;
-  result.end_time = lane_group ? lane_group->now() : sim.now();
-  result.events_executed =
-      lane_group ? lane_group->executed_events() : sim.executed_events();
+  result.end_time = lanes.now();
+  result.events_executed = lanes.executed_events();
 
   result.per_initiator_read_rate.reserve(initiators.size());
   for (const auto& initiator : initiators) {

@@ -73,12 +73,12 @@ struct ExperimentConfig {
   /// this way. Unset for ordinary runs.
   std::function<std::shared_ptr<void>(const ExperimentRig&)> rig_hook;
 
-  /// Event-lane parallelism. 0 (default) runs the classic single-kernel
-  /// engine — byte-for-byte the historical results. >= 1 runs the sharded
-  /// lane engine (hosts on shard 0, the hub switch on shard 1, conservative
-  /// sync on the link delay); results are then identical across every lane
-  /// count >= 1, but differ from the classic engine in event tie-ordering
-  /// at the hub boundary, so the two engines keep separate goldens.
+  /// Shard plan and lane count. 0 (default) runs one shard holding every
+  /// node. >= 1 splits the star in two — hosts on shard 0, the hub switch
+  /// on shard 1, conservative sync on the link delay — run by min(lanes,
+  /// 2) threads; results are identical at every lanes >= 1, but differ
+  /// from the one-shard plan in event tie-ordering at the hub boundary, so
+  /// the two plans keep separate goldens.
   std::size_t lanes = 0;
 
   /// Safety cap on simulated time.

@@ -10,7 +10,10 @@ namespace src::fabric {
 
 Initiator::Initiator(net::Network& network, net::NodeId host_id,
                      FabricContext& context)
-    : network_(network), host_id_(host_id), context_(context) {
+    : network_(network),
+      host_id_(host_id),
+      sim_(network.kernel_of(host_id)),
+      context_(context) {
   net::Host& host = network_.host(host_id_);
   host.set_message_handler([this](net::NodeId src, std::uint64_t message_id,
                                   std::uint64_t bytes, std::uint32_t tag) {
@@ -18,15 +21,14 @@ Initiator::Initiator(net::Network& network, net::NodeId host_id,
   });
   host.set_data_handler([this](net::NodeId, std::uint32_t bytes, std::uint32_t tag) {
     if (tag == kReadData) {
-      read_timeline_.record(network_.simulator().now(), bytes);
+      read_timeline_.record(sim_.now(), bytes);
       stats_.read_bytes_received += bytes;
     }
   });
 }
 
 void Initiator::run_trace(const workload::Trace& trace, TargetSelector selector) {
-  auto& sim = network_.simulator();
-  const common::SimTime base = sim.now();
+  const common::SimTime base = sim_.now();
   // The selector runs now, once per record in order; the replay keeps its
   // own copy of the (record, target) list, since the caller's trace may
   // not outlive the run.
@@ -36,7 +38,7 @@ void Initiator::run_trace(const workload::Trace& trace, TargetSelector selector)
   for (std::size_t i = 0; i < trace.size(); ++i) {
     replay->emplace_back(trace[i], selector(trace[i], i));
   }
-  sim.schedule_series(
+  sim_.schedule_series(
       replay->size(),
       [replay, base](std::size_t i) { return base + (*replay)[i].first.arrival; },
       // srclint:capture-ok(the initiator lives as long as the rig's simulator)
@@ -66,14 +68,13 @@ void Initiator::drain_deferred() {
 
 std::uint64_t Initiator::issue(common::IoType type, std::uint64_t lba,
                                std::uint32_t bytes, net::NodeId target) {
-  auto& sim = network_.simulator();
   RequestInfo info;
   info.initiator = host_id_;
   info.target = target;
   info.type = type;
   info.lba = lba;
   info.bytes = bytes;
-  info.issue_time = sim.now();
+  info.issue_time = sim_.now();
   const std::uint64_t request_id = context_.new_request(info);
   info.id = request_id;
   ++outstanding_;
@@ -111,7 +112,7 @@ void Initiator::send_command(const RequestInfo& info) {
 
 void Initiator::arm_timer(std::uint64_t request_id) {
   Pending& pending = pending_.at(request_id);
-  pending.timer = network_.simulator().schedule_in(
+  pending.timer = sim_.schedule_in(
       retry_.timeout_for(pending.attempts),
       // srclint:capture-ok(the initiator lives as long as the rig's simulator)
       [this, request_id] { on_timeout(request_id); });
@@ -121,7 +122,7 @@ void Initiator::on_timeout(std::uint64_t request_id) {
   if (!pending_.contains(request_id)) return;  // completed at the same tick
   ++stats_.timeouts;
   SRC_OBS_COUNT("fabric.timeouts");
-  SRC_OBS_INSTANT("fabric", "timeout", network_.simulator().now(),
+  SRC_OBS_INSTANT("fabric", "timeout", sim_.now(),
                   static_cast<std::uint32_t>(host_id_),
                   static_cast<double>(request_id));
   attempt_retry(request_id, /*delay=*/0);
@@ -135,7 +136,7 @@ void Initiator::attempt_retry(std::uint64_t request_id, common::SimTime delay) {
     return;
   }
   Pending& pending = it->second;
-  network_.simulator().cancel(pending.timer);
+  sim_.cancel(pending.timer);
   ++pending.attempts;
   ++stats_.retries;
   if (pending.attempts > stats_.max_attempts) {
@@ -150,7 +151,7 @@ void Initiator::attempt_retry(std::uint64_t request_id, common::SimTime delay) {
   if (delay == 0) {
     resend(request_id);
   } else {
-    pending.timer = network_.simulator().schedule_in(
+    pending.timer = sim_.schedule_in(
         // srclint:capture-ok(the initiator lives as long as the rig's simulator)
         delay, [this, request_id] { resend(request_id); });
   }
@@ -176,7 +177,7 @@ void Initiator::fail_request(std::uint64_t request_id) {
 
 void Initiator::finish_request(std::uint64_t request_id) {
   if (const auto it = pending_.find(request_id); it != pending_.end()) {
-    network_.simulator().cancel(it->second.timer);
+    sim_.cancel(it->second.timer);
     pending_.erase(it);
   }
   context_.complete_request(request_id);  // also expires stale bindings
@@ -208,7 +209,7 @@ void Initiator::on_fabric_message(net::NodeId /*src*/, std::uint64_t message_id,
   }
 
   const RequestInfo& info = context_.request(request_id);
-  const common::SimTime latency = network_.simulator().now() - info.issue_time;
+  const common::SimTime latency = sim_.now() - info.issue_time;
   if (tag == kReadData) {
     ++stats_.reads_completed;
     stats_.total_read_latency += latency;

@@ -130,6 +130,7 @@ class Initiator {
 
   net::Network& network_;
   net::NodeId host_id_;
+  sim::Simulator& sim_;  ///< the host's kernel
   FabricContext& context_;
   InitiatorStats stats_;
   common::ThroughputTimeline read_timeline_{common::kMillisecond};

@@ -8,20 +8,22 @@ namespace src::fabric {
 
 Target::Target(net::Network& network, net::NodeId host_id,
                FabricContext& context, TargetConfig config)
-    : network_(network), host_id_(host_id), context_(context),
+    : network_(network),
+      host_id_(host_id),
+      sim_(network.kernel_of(host_id)),
+      context_(context),
       config_(std::move(config)) {
   if (config_.device_count == 0) {
     throw std::invalid_argument("Target: need at least one device");
   }
 
-  auto& sim = network_.simulator();
   for (std::size_t i = 0; i < config_.device_count; ++i) {
     devices_.push_back(std::make_unique<ssd::SsdDevice>(
-        sim, config_.ssd, config_.seed + i * 7919));
+        sim_, config_.ssd, config_.seed + i * 7919));
     if (config_.driver_mode == DriverMode::kSsq) {
-      drivers_.push_back(std::make_unique<nvme::SsqDriver>(sim, *devices_.back()));
+      drivers_.push_back(std::make_unique<nvme::SsqDriver>(sim_, *devices_.back()));
     } else {
-      drivers_.push_back(std::make_unique<nvme::FifoDriver>(sim, *devices_.back()));
+      drivers_.push_back(std::make_unique<nvme::FifoDriver>(sim_, *devices_.back()));
     }
     drivers_.back()->set_completion_handler(
         [this](const nvme::IoRequest& request, const ssd::NvmeCompletion& completion) {
@@ -45,13 +47,13 @@ Target::Target(net::Network& network, net::NodeId host_id,
     ++stats_.pauses_received;
     ++stats_.congestion_signals;
     SRC_OBS_COUNT("fabric.congestion_signals");
-    pause_timeline_.record(network_.simulator().now());
+    pause_timeline_.record(sim_.now());
   });
   host.set_rate_change_handler([this](net::NodeId, common::Rate, bool decrease) {
     if (decrease) {
       ++stats_.congestion_signals;
       SRC_OBS_COUNT("fabric.congestion_signals");
-      pause_timeline_.record(network_.simulator().now());
+      pause_timeline_.record(sim_.now());
     }
     if (signal_loss_) {
       ++stats_.signals_suppressed;
@@ -139,7 +141,7 @@ void Target::on_fabric_message(net::NodeId /*src*/, std::uint64_t message_id,
   request.type = info.type;
   request.lba = info.lba;
   request.bytes = info.bytes;
-  request.arrival = network_.simulator().now();
+  request.arrival = sim_.now();
   if (on_submit_) on_submit_(info);
   drivers_[device]->submit(request);
 }
@@ -174,7 +176,7 @@ void Target::on_request_complete(const nvme::IoRequest& request,
     stats_.write_bytes += request.bytes;
     SRC_OBS_COUNT("fabric.writes_served");
     if (on_write_complete_) {
-      on_write_complete_(network_.simulator().now(), request.bytes);
+      on_write_complete_(sim_.now(), request.bytes);
     }
     // Acks ride the command channel so read-data backlog cannot delay them.
     const std::uint64_t message_id =

@@ -110,6 +110,7 @@ class Target {
 
   net::Network& network_;
   net::NodeId host_id_;
+  sim::Simulator& sim_;  ///< the host's kernel
   FabricContext& context_;
   TargetConfig config_;
   std::vector<std::unique_ptr<ssd::SsdDevice>> devices_;

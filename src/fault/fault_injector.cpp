@@ -8,16 +8,35 @@
 namespace src::fault {
 
 FaultInjector::FaultInjector(net::Network& network, FaultPlan plan)
-    : network_(network), plan_(std::move(plan)), rng_(plan_.seed) {}
+    : network_(network), plan_(std::move(plan)) {
+  for (std::size_t s = 0; s < network_.lanes().shard_count(); ++s) {
+    std::uint64_t derived = plan_.seed + s;
+    shards_.push_back(
+        Shard{common::Rng(s == 0 ? plan_.seed : common::splitmix64(derived)), {}});
+  }
+}
+
+FaultInjectorStats FaultInjector::stats() const {
+  FaultInjectorStats total;
+  for (const Shard& shard : shards_) {
+    total.packets_dropped += shard.stats.packets_dropped;
+    total.tpm_corruptions += shard.stats.tpm_corruptions;
+    total.device_faults_applied += shard.stats.device_faults_applied;
+    total.signal_loss_windows += shard.stats.signal_loss_windows;
+  }
+  return total;
+}
 
 void FaultInjector::add_target(fabric::Target& target) {
   if (armed_) throw std::logic_error("FaultInjector: add_target after arm()");
   targets_.push_back(&target);
 }
 
-void FaultInjector::add_controller(core::SrcController& controller) {
+void FaultInjector::add_controller(core::SrcController& controller,
+                                   NodeId node) {
   if (armed_) throw std::logic_error("FaultInjector: add_controller after arm()");
   controllers_.push_back(&controller);
+  controller_nodes_.push_back(node);
 }
 
 net::Node& FaultInjector::node(NodeId id) {
@@ -69,20 +88,22 @@ void FaultInjector::arm() {
 }
 
 void FaultInjector::install_drop_filter(NodeId id, std::int32_t port) {
+  const sim::Simulator& clock = network_.kernel_of(id);
   node(id).port(static_cast<std::size_t>(port))
-      .set_drop_filter([this, id, port](const net::Packet&) {
-        return should_drop(id, port);
+      .set_drop_filter([this, id, port, &clock, &shard = shard_of(id)](
+                           const net::Packet&) {
+        return should_drop(id, port, clock.now(), shard);
       });
 }
 
-bool FaultInjector::should_drop(NodeId id, std::int32_t port) {
-  const SimTime now = network_.simulator().now();
+bool FaultInjector::should_drop(NodeId id, std::int32_t port, SimTime now,
+                                Shard& shard) {
   // Certain (link-down) windows first and draw-free: see arm().
   for (const auto& w : windows_) {
     if (!w.certain || w.node != id) continue;
     if (w.port >= 0 && w.port != port) continue;
     if (now >= w.start && now < w.end) {
-      ++stats_.packets_dropped;
+      ++shard.stats.packets_dropped;
       return true;
     }
   }
@@ -90,8 +111,8 @@ bool FaultInjector::should_drop(NodeId id, std::int32_t port) {
     if (w.certain || w.node != id) continue;
     if (w.port >= 0 && w.port != port) continue;
     if (now < w.start || now >= w.end) continue;
-    if (rng_.bernoulli(w.probability)) {
-      ++stats_.packets_dropped;
+    if (shard.rng.bernoulli(w.probability)) {
+      ++shard.stats.packets_dropped;
       return true;
     }
   }
@@ -99,44 +120,47 @@ bool FaultInjector::should_drop(NodeId id, std::int32_t port) {
 }
 
 void FaultInjector::schedule_device_faults() {
-  auto& sim = network_.simulator();
-  auto device = [this](std::size_t target, std::size_t dev) -> ssd::SsdDevice& {
-    if (target >= targets_.size()) {
+  auto target = [this](std::size_t index, std::size_t dev) -> fabric::Target& {
+    if (index >= targets_.size()) {
       throw std::out_of_range("FaultInjector: fault names an unregistered target");
     }
-    if (dev >= targets_[target]->device_count()) {
+    if (dev >= targets_[index]->device_count()) {
       throw std::out_of_range("FaultInjector: fault names a missing device");
     }
-    return targets_[target]->device(dev);
+    return *targets_[index];
   };
 
   for (const auto& f : plan_.latency_spikes) {
-    ssd::SsdDevice& d = device(f.target, f.device);
+    fabric::Target& t = target(f.target, f.device);
+    sim::Simulator& sim = network_.kernel_of(t.node_id());
+    ssd::SsdDevice& d = t.device(f.device);
       // srclint:capture-ok(injector and rig components share the simulator lifetime)
-    sim.schedule_at(f.start, [this, &d, scale = f.scale] {
+    sim.schedule_at(f.start, [&d, &shard = shard_of(t.node_id()), scale = f.scale] {
       d.inject_latency_scale(scale);
-      ++stats_.device_faults_applied;
+      ++shard.stats.device_faults_applied;
     });
       // srclint:capture-ok(injector and rig components share the simulator lifetime)
     sim.schedule_at(f.end, [&d] { d.inject_latency_scale(1.0); });
   }
   for (const auto& f : plan_.transient_errors) {
-    ssd::SsdDevice& d = device(f.target, f.device);
+    fabric::Target& t = target(f.target, f.device);
+    sim::Simulator& sim = network_.kernel_of(t.node_id());
+    ssd::SsdDevice& d = t.device(f.device);
       // srclint:capture-ok(injector and rig components share the simulator lifetime)
-    sim.schedule_at(f.start, [this, &d, p = f.probability] {
+    sim.schedule_at(f.start, [&d, &shard = shard_of(t.node_id()), p = f.probability] {
       d.set_transient_failure_rate(p);
-      ++stats_.device_faults_applied;
+      ++shard.stats.device_faults_applied;
     });
       // srclint:capture-ok(injector and rig components share the simulator lifetime)
     sim.schedule_at(f.end, [&d] { d.set_transient_failure_rate(0.0); });
   }
   for (const auto& f : plan_.outages) {
-    device(f.target, f.device);  // validate indices up front
-    fabric::Target* t = targets_[f.target];
+    fabric::Target* t = &target(f.target, f.device);
+    sim::Simulator& sim = network_.kernel_of(t->node_id());
       // srclint:capture-ok(injector and rig components share the simulator lifetime)
-    sim.schedule_at(f.offline_at, [this, t, dev = f.device] {
+    sim.schedule_at(f.offline_at, [t, &shard = shard_of(t->node_id()), dev = f.device] {
       t->set_device_online(dev, false);
-      ++stats_.device_faults_applied;
+      ++shard.stats.device_faults_applied;
     });
     sim.schedule_at(f.online_at, [t, dev = f.device] {
       t->set_device_online(dev, true);
@@ -145,16 +169,16 @@ void FaultInjector::schedule_device_faults() {
 }
 
 void FaultInjector::schedule_signal_loss() {
-  auto& sim = network_.simulator();
   for (const auto& f : plan_.signal_losses) {
     if (f.target >= targets_.size()) {
       throw std::out_of_range("FaultInjector: signal loss on unregistered target");
     }
     fabric::Target* t = targets_[f.target];
+    sim::Simulator& sim = network_.kernel_of(t->node_id());
       // srclint:capture-ok(injector and rig components share the simulator lifetime)
-    sim.schedule_at(f.start, [this, t] {
+    sim.schedule_at(f.start, [t, &shard = shard_of(t->node_id())] {
       t->set_signal_loss(true);
-      ++stats_.signal_loss_windows;
+      ++shard.stats.signal_loss_windows;
     });
     sim.schedule_at(f.end, [t] { t->set_signal_loss(false); });
   }
@@ -178,7 +202,8 @@ void FaultInjector::install_prediction_hooks() {
 
 core::TpmPrediction FaultInjector::corrupt(std::size_t controller_index,
                                            const core::TpmPrediction& prediction) {
-  const SimTime now = network_.simulator().now();
+  const NodeId node = controller_nodes_[controller_index];
+  const SimTime now = network_.kernel_of(node).now();
   core::TpmPrediction out = prediction;
   for (const auto& f : plan_.tpm_faults) {
     if (f.controller != controller_index) continue;
@@ -197,7 +222,7 @@ core::TpmPrediction FaultInjector::corrupt(std::size_t controller_index,
         out.read_bytes_per_sec = 1.0e30;
         break;
     }
-    ++stats_.tpm_corruptions;
+    ++shard_of(node).stats.tpm_corruptions;
   }
   return out;
 }

@@ -2,9 +2,12 @@
 // filters for network faults, schedules simulator events for device and
 // control-plane fault windows, and hooks controllers' TPM predictions.
 //
-// Determinism contract: all probabilistic draws come from one RNG seeded
-// by the plan, consumed in packet-arrival order (itself deterministic),
-// so a fixed (topology, workload, plan) triple replays bit-identically.
+// Determinism contract: each lane-engine shard draws from its own RNG
+// stream (shard 0's is seeded by the plan seed itself, the others by
+// seeds derived from it), consumed in the shard's packet-arrival order
+// (itself deterministic), so a fixed (topology, workload, plan) triple
+// replays bit-identically at any lane count. Every window and counter
+// reads the clock of the node it acts on and counts on that node's shard.
 // An empty plan installs nothing, schedules nothing, and draws nothing —
 // runs with and without an armed empty injector are indistinguishable.
 //
@@ -38,8 +41,9 @@ class FaultInjector {
   /// Register the target at the next plan index (add order defines the
   /// `target` index in FaultPlan entries). Call before arm().
   void add_target(fabric::Target& target);
-  /// Same, for `controller` indices in TpmFault entries.
-  void add_controller(core::SrcController& controller);
+  /// Same, for `controller` indices in TpmFault entries; `node` is the
+  /// host the controller steers (its clock times the fault windows).
+  void add_controller(core::SrcController& controller, NodeId node);
 
   /// Install filters/hooks and schedule all fault windows. Call exactly
   /// once, before the simulation runs. Throws std::out_of_range when the
@@ -48,7 +52,8 @@ class FaultInjector {
   bool armed() const { return armed_; }
 
   const FaultPlan& plan() const { return plan_; }
-  const FaultInjectorStats& stats() const { return stats_; }
+  /// Summed over shards.
+  FaultInjectorStats stats() const;
 
  private:
   /// A drop window bound to one concrete port. Link-down faults expand to
@@ -63,9 +68,17 @@ class FaultInjector {
     bool certain = false;
   };
 
+  /// One shard's drop-filter stream and counters, touched only by the
+  /// thread running that shard.
+  struct alignas(64) Shard {
+    common::Rng rng;
+    FaultInjectorStats stats;
+  };
+
   net::Node& node(NodeId id);
+  Shard& shard_of(NodeId id) { return shards_[network_.shard_of(id)]; }
   void install_drop_filter(NodeId id, std::int32_t port);
-  bool should_drop(NodeId id, std::int32_t port);
+  bool should_drop(NodeId id, std::int32_t port, SimTime now, Shard& shard);
   void schedule_device_faults();
   void schedule_signal_loss();
   void install_prediction_hooks();
@@ -74,12 +87,12 @@ class FaultInjector {
 
   net::Network& network_;
   FaultPlan plan_;
-  common::Rng rng_;
+  std::vector<Shard> shards_;
   std::vector<fabric::Target*> targets_;
   std::vector<core::SrcController*> controllers_;
+  std::vector<NodeId> controller_nodes_;  ///< parallel to controllers_
   std::vector<PortWindow> windows_;
   bool armed_ = false;
-  FaultInjectorStats stats_;
 };
 
 }  // namespace src::fault

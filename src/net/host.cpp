@@ -31,12 +31,13 @@ std::uint32_t Host::flow_index_to(NodeId dst, std::uint32_t channel) {
 
   const auto index = static_cast<std::uint32_t>(flows_.size());
   Flow flow;
-  flow.id = ++*id_source_;
+  flow.id = ++next_id_;
   flow.dst = dst;
   flow.cc =
       make_rate_controller(cc_algorithm_for(dst), sim_, config_, port(0).rate());
-  // Tracer lane = network-global flow id: deterministic, unique per flow.
-  flow.cc->set_trace_lane(static_cast<std::uint32_t>(flow.id));
+  // Tracer lane = (node id, flow index): deterministic and unique per flow
+  // while a host has fewer than 65535 flows.
+  flow.cc->set_trace_lane((static_cast<std::uint32_t>(id()) << 16) | (index + 1));
   // Every controller rate change lands in the SoA mirror first, so the
   // arbitration loop and total_allowed_rate() never pay a virtual call.
   flow.cc->set_rate_change_handler([this, dst, index](Rate rate, bool decrease) {
@@ -58,7 +59,7 @@ std::uint32_t Host::flow_index_to(NodeId dst, std::uint32_t channel) {
 std::uint64_t Host::send_message(NodeId dst, std::uint64_t bytes, std::uint32_t tag,
                                  std::uint32_t channel) {
   const std::uint32_t index = flow_index_to(dst, channel);
-  const std::uint64_t message_id = ++*id_source_;
+  const std::uint64_t message_id = ++next_id_;
   flows_[index].messages.push_back(Message{message_id, bytes, tag});
   flow_queued_bytes_[index] += bytes;
   ++flow_msg_count_[index];

@@ -61,11 +61,12 @@ class Host final : public Node {
   /// DCQCN changed the send rate of the flow to `dst`.
   using RateChangeHandler = std::function<void(NodeId dst, Rate rate, bool decrease)>;
 
-  /// `id_source` is a network-global counter used to mint unique flow and
-  /// message identifiers.
-  Host(sim::Simulator& sim, NodeId id, std::string name, NetConfig config,
-       std::uint64_t* id_source)
-      : Node(sim, id, std::move(name)), config_(config), id_source_(id_source) {}
+  /// Flow and message ids are minted per host, (id + 1) << 40 | local
+  /// count: unique network-wide without any shared counter.
+  Host(sim::Simulator& sim, NodeId id, std::string name, NetConfig config)
+      : Node(sim, id, std::move(name)),
+        config_(config),
+        next_id_((static_cast<std::uint64_t>(id) + 1) << 40) {}
 
   /// Queue a message of `bytes` payload to `dst`. Returns the message id.
   /// `channel` selects an independent flow (its own DCQCN state and send
@@ -138,7 +139,7 @@ class Host final : public Node {
   void send_delay_ack(const Packet& data);
 
   NetConfig config_;
-  std::uint64_t* id_source_;
+  std::uint64_t next_id_;  ///< last id minted
   std::vector<std::pair<NodeId, int>> peer_cc_;  ///< sorted by NodeId
 
   // Flow arena (creation order, never erased) + per-packet demux indices.

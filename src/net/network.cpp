@@ -7,16 +7,11 @@
 
 namespace src::net {
 
-sim::Simulator& Network::kernel_for(std::uint16_t shard) {
-  return lanes_ == nullptr ? *sim_ : lanes_->kernel(shard);
-}
-
 std::uint16_t Network::checked_shard(std::uint16_t shard) const {
-  if (lanes_ == nullptr) return 0;  // classic mode: one timeline
-  if (shard >= lanes_->shard_count()) {
+  if (shard >= lanes_.shard_count()) {
     throw std::invalid_argument("Network: shard " + std::to_string(shard) +
                                 " out of range (lane group has " +
-                                std::to_string(lanes_->shard_count()) +
+                                std::to_string(lanes_.shard_count()) +
                                 " shards)");
   }
   return shard;
@@ -25,16 +20,8 @@ std::uint16_t Network::checked_shard(std::uint16_t shard) const {
 NodeId Network::add_host(std::string name, std::uint16_t shard) {
   const auto id = static_cast<NodeId>(nodes_.size());
   shard = checked_shard(shard);
-  std::uint64_t* id_source = &id_source_;
-  if (lanes_ != nullptr) {
-    // Per-host id cell: globally unique flow/message ids without any
-    // cross-shard counter (the network-global mint would be a data race —
-    // and a lane-order dependence — once hosts span shards).
-    host_id_cells_.push_back((static_cast<std::uint64_t>(id) + 1) << 40);
-    id_source = &host_id_cells_.back();
-  }
-  nodes_.push_back(std::make_unique<Host>(kernel_for(shard), id,
-                                          std::move(name), config_, id_source));
+  nodes_.push_back(std::make_unique<Host>(lanes_.kernel(shard), id,
+                                          std::move(name), config_));
   host_flags_.push_back(true);
   node_shard_.push_back(shard);
   adjacency_.emplace_back();
@@ -45,7 +32,7 @@ NodeId Network::add_switch(std::string name, std::uint16_t shard) {
   const auto id = static_cast<NodeId>(nodes_.size());
   shard = checked_shard(shard);
   nodes_.push_back(
-      std::make_unique<Switch>(kernel_for(shard), id, std::move(name), config_));
+      std::make_unique<Switch>(lanes_.kernel(shard), id, std::move(name), config_));
   host_flags_.push_back(false);
   node_shard_.push_back(shard);
   adjacency_.emplace_back();
@@ -59,15 +46,15 @@ void Network::connect(NodeId a, NodeId b, Rate rate, SimTime delay) {
   Port& port_b = node_b.add_port();
   port_a.attach(&node_b, port_b.index(), rate, delay);
   port_b.attach(&node_a, port_a.index(), rate, delay);
-  if (lanes_ != nullptr && node_shard_[a] != node_shard_[b]) {
+  if (node_shard_[a] != node_shard_[b]) {
     if (delay < 1) {
       throw std::invalid_argument(
           "Network: cross-shard link " + node_a.name() + " <-> " +
           node_b.name() +
           " needs delay >= 1 ns (it bounds the conservative lookahead)");
     }
-    port_a.set_lane_channel(lanes_, node_shard_[a], node_shard_[b]);
-    port_b.set_lane_channel(lanes_, node_shard_[b], node_shard_[a]);
+    port_a.set_lane_channel(&lanes_, node_shard_[a], node_shard_[b]);
+    port_b.set_lane_channel(&lanes_, node_shard_[b], node_shard_[a]);
     min_cross_shard_delay_ = std::min(min_cross_shard_delay_, delay);
   }
   adjacency_[a].push_back(Edge{b, static_cast<std::size_t>(port_a.index())});
@@ -77,8 +64,8 @@ void Network::connect(NodeId a, NodeId b, Rate rate, SimTime delay) {
 void Network::finalize() {
   if (finalized_) return;
   finalized_ = true;
-  if (lanes_ != nullptr && min_cross_shard_delay_ != common::kTimeInfinity) {
-    lanes_->set_lookahead(min_cross_shard_delay_);
+  if (min_cross_shard_delay_ != common::kTimeInfinity) {
+    lanes_.set_lookahead(min_cross_shard_delay_);
   }
 
   // Shortest-path next hops with ECMP: BFS rooted at each host

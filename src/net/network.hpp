@@ -2,19 +2,15 @@
 // and computes static shortest-path routes (BFS, deterministic tie-break
 // by adjacency insertion order).
 //
-// Two construction modes:
-//  - classic: one Simulator, every node on it (the historical behaviour,
-//    byte-for-byte — the lane machinery is a dormant null pointer).
-//  - sharded: a sim::LaneGroup; every node names its shard at creation and
-//    runs on that shard's kernel. Links between shards become lane-boundary
-//    mailbox channels (Port::set_lane_channel) and finalize() hands the
-//    minimum cross-shard propagation delay to the group as its conservative
-//    lookahead. Flow/message ids switch from the network-global counter to
-//    per-host id cells ((node id + 1) << 40 | local count): globally unique
-//    without cross-shard mutable state.
+// The network runs on a sim::LaneGroup: every node names its shard at
+// creation and runs on that shard's kernel (a one-shard group puts every
+// node on one kernel). Links between shards become lane-boundary mailbox
+// channels (Port::set_lane_channel) and finalize() hands the minimum
+// cross-shard propagation delay to the group as its conservative
+// lookahead. Each host mints its own flow/message ids, (node id + 1) << 40
+// | local count: globally unique without cross-shard mutable state.
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -27,24 +23,21 @@ namespace src::net {
 
 class Network {
  public:
-  Network(sim::Simulator& sim, NetConfig config)
-      : sim_(&sim), config_(config) {}
-  /// Sharded mode. The LaneGroup must outlive the Network.
+  /// The LaneGroup must outlive the Network.
   Network(sim::LaneGroup& lanes, NetConfig config)
-      : sim_(&lanes.kernel(0)), lanes_(&lanes), config_(config) {}
+      : lanes_(lanes), config_(config) {}
 
-  /// `shard` is the LaneGroup shard the node runs on (ignored in classic
-  /// mode; must be < shard_count in sharded mode).
+  /// `shard` is the LaneGroup shard the node runs on (< shard_count).
   NodeId add_host(std::string name, std::uint16_t shard = 0);
   NodeId add_switch(std::string name, std::uint16_t shard = 0);
 
-  /// Create a bidirectional link (one port on each side). In sharded mode a
-  /// link between shards must have delay >= 1 ns (it bounds the lookahead).
+  /// Create a bidirectional link (one port on each side). A link between
+  /// shards must have delay >= 1 ns (it bounds the lookahead).
   void connect(NodeId a, NodeId b, Rate rate, SimTime delay);
 
   /// Compute routes and finalize per-port hooks. Call once after building.
-  /// In sharded mode this also sets the LaneGroup's lookahead to the
-  /// minimum cross-shard link delay.
+  /// This also sets the LaneGroup's lookahead to the minimum cross-shard
+  /// link delay.
   void finalize();
 
   Host& host(NodeId id);
@@ -54,10 +47,11 @@ class Network {
   bool is_host(NodeId id) const;
 
   std::size_t node_count() const { return nodes_.size(); }
-  /// Classic mode: the one kernel. Sharded mode: shard 0's kernel.
-  sim::Simulator& simulator() { return *sim_; }
-  sim::LaneGroup* lanes() { return lanes_; }
+  sim::LaneGroup& lanes() { return lanes_; }
   std::uint16_t shard_of(NodeId id) const { return node_shard_.at(id); }
+  /// The kernel node `id` runs on: whatever acts on a node reads its clock
+  /// and schedules there.
+  sim::Simulator& kernel_of(NodeId id) { return lanes_.kernel(shard_of(id)); }
   const NetConfig& config() const { return config_; }
 
   /// System-wide PFC pauses received by hosts.
@@ -69,20 +63,14 @@ class Network {
     std::size_t local_port;
   };
 
-  sim::Simulator& kernel_for(std::uint16_t shard);
   std::uint16_t checked_shard(std::uint16_t shard) const;
 
-  sim::Simulator* sim_;
-  sim::LaneGroup* lanes_ = nullptr;
+  sim::LaneGroup& lanes_;
   NetConfig config_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<bool> host_flags_;
   std::vector<std::uint16_t> node_shard_;
   std::vector<std::vector<Edge>> adjacency_;
-  std::uint64_t id_source_ = 0;  ///< classic mode: network-global id mint
-  /// Sharded mode: one id cell per host (stable addresses; hosts keep a
-  /// pointer). Each cell starts at a disjoint (node id + 1) << 40 base.
-  std::deque<std::uint64_t> host_id_cells_;
   SimTime min_cross_shard_delay_ = common::kTimeInfinity;
   bool finalized_ = false;
 };

@@ -16,9 +16,9 @@ struct StarTopology {
   std::vector<NodeId> hosts;
 };
 
-/// `n_hosts` hosts hanging off one switch. In sharded mode the hosts land
-/// on `host_shard` and the hub on `hub_shard` (both default to shard 0, so
-/// classic-mode callers are unaffected).
+/// `n_hosts` hosts hanging off one switch. The hosts land on `host_shard`
+/// and the hub on `hub_shard` (both default to shard 0, which suits a
+/// one-shard LaneGroup).
 StarTopology make_star(Network& net, std::size_t n_hosts, Rate link_rate,
                        SimTime link_delay, std::uint16_t host_shard = 0,
                        std::uint16_t hub_shard = 0);
@@ -86,10 +86,10 @@ struct PodTopology {
   Rate spine_uplink_rate{};  ///< as resolved
 };
 
-/// Builds the grammar instance and finalizes the network. In sharded mode
-/// nodes are placed per `policy` (racks, aggregations and the spine each get
-/// shards from the PodShardPlan); in classic mode everything is shard 0 and
-/// `policy` only fills in the returned plan.
+/// Builds the grammar instance and finalizes the network. Nodes are placed
+/// per `policy` (racks, aggregations and the spine each get shards from the
+/// PodShardPlan), so the network's LaneGroup needs plan.shard_count()
+/// shards.
 PodTopology make_pod(Network& net, const PodGrammar& grammar,
                      PartitionPolicy policy = PartitionPolicy::kByRack);
 

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -62,6 +63,16 @@ class FixedHistogram {
   double sum() const { return sum_; }
   double mean() const {
     return total_ ? sum_ / static_cast<double>(total_) : 0.0;
+  }
+
+  /// Add `other`'s observations (same bounds) to this histogram.
+  void merge(const FixedHistogram& other) {
+    if (other.bounds_ != bounds_) {
+      throw std::invalid_argument("FixedHistogram::merge: bucket bounds differ");
+    }
+    for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
+    total_ += other.total_;
+    sum_ += other.sum_;
   }
 
   /// Approximate quantile from bucket midpoints; the overflow bucket
@@ -143,6 +154,16 @@ class MetricRegistry {
 
   std::size_t size() const {
     return counters_.size() + gauges_.size() + histograms_.size();
+  }
+
+  /// Fold `other` in: counters add, gauges take other's value, histogram
+  /// buckets add. Every metric other touched exists here afterwards.
+  void merge(const MetricRegistry& other) {
+    for (const auto& [name, c] : other.counters_) counter(name).inc(c.value());
+    for (const auto& [name, g] : other.gauges_) gauge(name).set(g.value());
+    for (const auto& [name, h] : other.histograms_) {
+      histogram(name, h.bounds()).merge(h);
+    }
   }
 
   /// Deterministic snapshot:

@@ -14,7 +14,9 @@
 //
 // The current observatory is a thread-local stack (ObsScope), matching the
 // repo's one-Simulator-per-thread parallelism: a sweep can observe each
-// worker independently.
+// worker independently, and a sim::LaneGroup installs one observatory per
+// shard while it runs that shard, merging them into the caller's between
+// run_until calls (DESIGN.md §7).
 #pragma once
 
 #include "obs/metrics.hpp"
@@ -32,8 +34,10 @@ struct ObsConfig {
 
 class Observatory {
  public:
-  explicit Observatory(ObsConfig config = {})
-      : tracer_(config.trace_capacity), tracing_(config.tracing) {}
+  /// `reserve_trace` false grows the trace ring on demand (see EventTracer).
+  explicit Observatory(ObsConfig config = {}, bool reserve_trace = true)
+      : tracer_(config.trace_capacity, reserve_trace),
+        tracing_(config.tracing) {}
 
   MetricRegistry& metrics() { return metrics_; }
   const MetricRegistry& metrics() const { return metrics_; }
@@ -42,6 +46,14 @@ class Observatory {
 
   bool tracing() const { return tracing_; }
   void set_tracing(bool on) { tracing_ = on; }
+  ObsConfig config() const { return ObsConfig{tracing_, tracer_.capacity()}; }
+
+  /// Fold another observatory's record into this one (see
+  /// MetricRegistry::merge and EventTracer::append).
+  void merge(const Observatory& other) {
+    metrics_.merge(other.metrics_);
+    tracer_.append(other.tracer_);
+  }
 
   std::string metrics_json(int indent = 2) const {
     return metrics_.snapshot_json(indent);

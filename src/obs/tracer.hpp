@@ -36,9 +36,12 @@ struct TraceEvent {
 
 class EventTracer {
  public:
-  explicit EventTracer(std::size_t capacity = kDefaultCapacity)
+  /// `reserve` false grows the ring on demand instead of allocating all
+  /// of it up front (recording then allocates until the ring is full).
+  explicit EventTracer(std::size_t capacity = kDefaultCapacity,
+                       bool reserve = true)
       : capacity_(capacity == 0 ? 1 : capacity) {
-    ring_.reserve(capacity_);
+    if (reserve) ring_.reserve(capacity_);
   }
 
   static constexpr std::size_t kDefaultCapacity = 1u << 16;
@@ -66,6 +69,13 @@ class EventTracer {
   std::uint64_t recorded() const { return recorded_; }
   std::uint64_t dropped() const {
     return recorded_ - static_cast<std::uint64_t>(ring_.size());
+  }
+
+  /// Record `other`'s surviving events after this tracer's, oldest first;
+  /// the events `other` already dropped count as recorded and dropped here.
+  void append(const EventTracer& other) {
+    for (const TraceEvent& event : other.events()) push(event);
+    recorded_ += other.dropped();
   }
 
   void clear() {

@@ -112,8 +112,9 @@ BuiltScenario build(const ScenarioSpec& spec, const BuildOptions& options) {
     config.rig_hook = [plan](const core::ExperimentRig& rig) {
       auto injector = std::make_shared<fault::FaultInjector>(rig.network, plan);
       for (fabric::Target* target : rig.targets) injector->add_target(*target);
-      for (core::SrcController* controller : rig.controllers) {
-        injector->add_controller(*controller);
+      // run_experiment builds controller i for target i.
+      for (std::size_t i = 0; i < rig.controllers.size(); ++i) {
+        injector->add_controller(*rig.controllers[i], rig.targets[i]->node_id());
       }
       injector->arm();
       return injector;

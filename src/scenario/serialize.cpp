@@ -751,7 +751,8 @@ void fields(Io& io, S& s) {
   io.count("seed", s.seed);
   io.time("max_time", s.max_time);
   io.check(s.max_time > 0, "max_time", "must be > 0");
-  // lanes == 0 (the classic engine) is omitted, keeping dumps byte-stable.
+  // lanes == 0 (the one-shard star plan) is omitted, keeping dumps
+  // byte-stable.
   if (io.emit_if(s.lanes != 0)) io.count("lanes", s.lanes);
   io.object("topology", s.topology);
   io.object("net", s.net);

@@ -172,12 +172,11 @@ struct ScenarioSpec {
   std::uint64_t seed = 1;
   common::SimTime max_time = 5 * common::kSecond;
 
-  /// Event-lane parallelism. 0 = the classic single-kernel engine (star
-  /// kind only; the historical byte-for-byte results). >= 1 = the sharded
-  /// lane engine with that many worker lanes; results are identical across
-  /// lane counts. Pod-kind scenarios always run the lane engine, so lanes
-  /// is clamped up to 1 there; it must not exceed the partition's shard
-  /// count (validated at parse time).
+  /// Lane-engine shard plan and worker lanes. Star kind: 0 = one shard
+  /// holding every node; >= 1 = hosts | hub shards run by that many lanes,
+  /// with results identical across lane counts. Pod-kind scenarios run
+  /// their partition's shards, so lanes is clamped up to 1 there; it must
+  /// not exceed the partition's shard count (validated at parse time).
   std::size_t lanes = 0;
 
   friend bool operator==(const ScenarioSpec&, const ScenarioSpec&) = default;

@@ -6,8 +6,6 @@
 #include <string>
 #include <thread>
 
-#include "obs/obs.hpp"
-
 namespace src::sim {
 
 using common::SimTime;
@@ -215,14 +213,14 @@ void LaneGroup::rebalance() {
 }
 
 void LaneGroup::run_lane(std::size_t lane, WindowBarrier* barrier) {
-  // Window execution is obs-silent on every lane so counters cannot
-  // depend on which thread ran a shard (see header comment).
-  obs::ObsScope silent(nullptr);
   for (;;) {
     for (const std::size_t s : lane_shards_[lane]) drain(s);
     if (stop_) return;
     SimTime next = kTimeInfinity;
     for (const std::size_t s : lane_shards_[lane]) {
+      // A shard records into its own observatory whichever lane runs it,
+      // so the record cannot depend on the lane count.
+      const obs::ObsScope scope(observatory_of(s));
       Simulator& shard = kernel(s);
       shard.run_until(horizon_);
       next = std::min(next, shard.next_event_time());
@@ -237,6 +235,16 @@ void LaneGroup::run_lane(std::size_t lane, WindowBarrier* barrier) {
 }
 
 void LaneGroup::run_until(SimTime deadline) {
+  caller_obs_ = obs::current();
+  shard_obs_.clear();
+  shard_obs_.resize(shards_.size() - 1);
+  if (caller_obs_ != nullptr) {
+    for (auto& own : shard_obs_) {
+      own = std::make_unique<obs::Observatory>(caller_obs_->config(),
+                                               /*reserve_trace=*/false);
+    }
+  }
+
   // Plan the first window as if one had just ended; this also closes the
   // column holding any mail posted between calls, so the loop drains it.
   deadline_ = deadline;
@@ -269,6 +277,11 @@ void LaneGroup::run_until(SimTime deadline) {
   for (const auto& shard : shards_) {
     shard->run_until(deadline);
   }
+
+  if (caller_obs_ != nullptr) {
+    for (const auto& own : shard_obs_) caller_obs_->merge(*own);
+  }
+  shard_obs_.clear();
 }
 
 bool LaneGroup::drained() const {

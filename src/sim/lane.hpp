@@ -27,9 +27,12 @@
 // by their executed-event counts (deterministic, so the placement — like
 // the results — never depends on wall time).
 //
-// Instrumentation: window execution runs under a null obs::ObsScope on
-// every lane (including the calling thread), so the SRC_OBS macros — passive
-// by construction — observe the same (empty) sink at every lane count.
+// Instrumentation: the observatory current when run_until is called (the
+// caller's) sees the same record at every lane count. Shard 0 records
+// straight into it; shards 1..n-1 each record into a private observatory
+// with the same config, and run_until merges those into the caller's in
+// shard order before it returns. With no observatory current, nothing
+// records and no private observatory is made.
 #pragma once
 
 #include <cstddef>
@@ -38,6 +41,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "obs/obs.hpp"
 #include "sim/simulator.hpp"
 
 namespace src::sim {
@@ -81,7 +85,8 @@ class LaneGroup {
   /// Execute windows until every kernel's next event is past `deadline`
   /// (events exactly at `deadline` still run) or everything drains. Between
   /// calls all lanes are quiescent, so the caller may freely inspect or
-  /// mutate shard state.
+  /// mutate shard state. Instrumentation records into the calling thread's
+  /// current observatory (see the header comment).
   void run_until(common::SimTime deadline);
 
   /// All kernels drained (mailboxes are always empty between run_until
@@ -156,6 +161,10 @@ class LaneGroup {
   void plan_window();
   /// Longest-processing-time shard placement on executed-event deltas.
   void rebalance();
+  /// The observatory `shard` records into while it runs.
+  obs::Observatory* observatory_of(std::size_t shard) const {
+    return shard == 0 ? caller_obs_ : shard_obs_[shard - 1].get();
+  }
 
   std::vector<std::unique_ptr<Simulator>> shards_;
   std::size_t lane_count_ = 1;
@@ -172,6 +181,10 @@ class LaneGroup {
   common::SimTime horizon_ = 0;
   bool stop_ = false;
   std::uint64_t windows_ = 0;
+  // Set for the duration of one run_until: the caller's observatory and,
+  // when it is non-null, one private observatory per shard 1..n-1.
+  obs::Observatory* caller_obs_ = nullptr;
+  std::vector<std::unique_ptr<obs::Observatory>> shard_obs_;
 };
 
 }  // namespace src::sim

@@ -5,12 +5,16 @@
 // exit 2 (no signal), exactly one `srcctl` diagnostic line on stderr naming
 // the culprit, nothing on stdout, and no file written.
 //
-// Commands, flags, operands and their types are read from the generated
-// `srcctl help` and `srcctl <command> --help` text, so a flag added to the
-// command table is covered without touching this file. The binary path is
+// A flag scoped to one mode of its command ("[chaos run]" in the help) must
+// be refused, the same way, under every other mode.
+//
+// Commands, flags, operands, their types and scopes are read from the
+// generated `srcctl help` and `srcctl <command> --help` text, so a flag
+// added to the command table is covered without touching this file. The binary path is
 // injected by CMake as SRC_SRCCTL_BIN.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -120,6 +124,9 @@ struct FlagDecl {
   std::string name;
   Type type;
   bool required = false;
+  /// The command line that reads it ("chaos run", "trace-gen --preset
+  /// micro"); empty when every mode does.
+  std::string scope;
 };
 
 struct OperandDecl {
@@ -210,9 +217,10 @@ class SrcctlArgvTest : public ::testing::Test {
         operand_types[m[1]] = parse_type(m[2]);
       } else if (section == "flags:" &&
                  std::regex_search(line, m,
-                                   std::regex(R"(^  --(\S+)(?: <(.*?)>)?(?:  |$))"))) {
+                                   std::regex(R"(^  --(\S+)(?: <(.*?)>)?(?:  +(?:\[([^\]]+)\])?|$))"))) {
         command.flags.push_back({m[1], parse_type(m[2]),
-                                 line.find("(required)") != std::string::npos});
+                                 line.find("(required)") != std::string::npos,
+                                 m[3]});
       }
     }
     for (OperandDecl& operand : command.operands) {
@@ -345,6 +353,57 @@ class SrcctlArgvTest : public ::testing::Test {
     return out;
   }
 
+  /// For each scoped flag and each mode that does not read it, a valid
+  /// command line in that mode: the required flags, the mode selector (a
+  /// flag or an operand), the flag under test, and every operand.
+  std::vector<Case> wrong_mode_cases(const CommandDecl& command,
+                                     src::common::Rng& rng) const {
+    std::vector<Case> out;
+    for (const FlagDecl& scoped : command.flags) {
+      if (scoped.scope.empty()) continue;
+      // "chaos run" -> selector value "run"; "trace-gen --preset micro" ->
+      // selector flag "preset", value "micro".
+      std::stringstream words(scoped.scope);
+      std::string name, selector, value;
+      words >> name >> selector;
+      if (!(words >> value)) std::swap(selector, value);
+      EXPECT_EQ(name, command.name) << scoped.scope;
+      const std::string flag = selector.empty() ? "" : selector.substr(2);
+      const auto selects = [&](const Type& type) {
+        return std::find(type.choices.begin(), type.choices.end(), value) !=
+               type.choices.end();
+      };
+      std::vector<std::string> modes;
+      for (const FlagDecl& f : command.flags) {
+        if (f.name == flag) modes = f.type.choices;
+      }
+      for (const OperandDecl& operand : command.operands) {
+        if (flag.empty() && selects(operand.type)) modes = operand.type.choices;
+      }
+      EXPECT_GT(modes.size(), 1u) << scoped.scope;
+      for (const std::string& mode : modes) {
+        if (mode == value) continue;
+        std::vector<std::string> args;
+        for (const FlagDecl& f : command.flags) {
+          if (f.name == flag) {
+            args.insert(args.end(), {"--" + f.name, mode});
+          } else if (f.required) {
+            args.insert(args.end(), {"--" + f.name, valid(f.type, rng)});
+          }
+        }
+        args.push_back("--" + scoped.name);
+        if (scoped.type.kind != "switch") args.push_back(valid(scoped.type, rng));
+        for (const OperandDecl& operand : command.operands) {
+          args.push_back(flag.empty() && selects(operand.type) ? mode
+                                                               : valid(operand.type, rng));
+        }
+        out.push_back({args, "srcctl: --" + scoped.name + ": only '" +
+                                 scoped.scope + "' reads it"});
+      }
+    }
+    return out;
+  }
+
   /// Every rejection property for one case.
   void expect_rejected(const std::string& command, const Case& bad) const {
     std::vector<std::string> argv{command};
@@ -404,6 +463,21 @@ TEST_F(SrcctlArgvTest, EveryCommandRejectsBadArgvBeforeStartingWork) {
     }
   }
   EXPECT_GE(checked, 200u);
+}
+
+TEST_F(SrcctlArgvTest, ScopedFlagsAreRefusedUnderEveryOtherMode) {
+  src::common::Rng rng(0x5c0e);
+  std::map<std::string, std::size_t> scoped;
+  for (const CommandDecl& command : commands()) {
+    for (const Case& bad : wrong_mode_cases(command, rng)) {
+      expect_rejected(command.name, bad);
+      ++scoped[command.name];
+    }
+  }
+  // chaos: 8 `run` flags and 2 `shrink` flags, two wrong modes each;
+  // trace-gen: --iat and --size-kb under --preset vdi and cbs.
+  EXPECT_EQ(scoped["chaos"], 20u);
+  EXPECT_EQ(scoped["trace-gen"], 4u);
 }
 
 }  // namespace

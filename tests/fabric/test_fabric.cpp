@@ -13,9 +13,10 @@ using common::IoType;
 using common::Rate;
 
 struct Rig {
-  sim::Simulator sim;
+  sim::LaneGroup lanes{1, 1};
+  sim::Simulator& sim = lanes.kernel(0);
   net::NetConfig net_config;
-  net::Network network{sim, net_config};
+  net::Network network{lanes, net_config};
   net::StarTopology topo;
   FabricContext context;
   std::unique_ptr<Initiator> initiator;
@@ -137,8 +138,9 @@ TEST(FabricTest, MultiDeviceStripesRequests) {
 
 TEST(FabricTest, CongestionListenerSeesRateCuts) {
   // Two targets in-cast into one initiator to force DCQCN activity.
-  sim::Simulator sim;
-  net::Network network(sim, net::NetConfig{});
+  sim::LaneGroup lanes{1, 1};
+  sim::Simulator& sim = lanes.kernel(0);
+  net::Network network(lanes, net::NetConfig{});
   auto topo = net::make_star(network, 3, Rate::gbps(2.0), common::kMicrosecond);
   FabricContext context;
   Initiator initiator(network, topo.hosts[0], context);
@@ -169,8 +171,9 @@ using common::IoType;
 using common::Rate;
 
 TEST(FabricTest, MaxOutstandingBoundsInflight) {
-  sim::Simulator sim;
-  net::Network network(sim, net::NetConfig{});
+  sim::LaneGroup lanes{1, 1};
+  sim::Simulator& sim = lanes.kernel(0);
+  net::Network network(lanes, net::NetConfig{});
   auto topo = net::make_star(network, 2, Rate::gbps(10.0), common::kMicrosecond);
   FabricContext context;
   Initiator initiator(network, topo.hosts[0], context);
@@ -192,8 +195,9 @@ TEST(FabricTest, MaxOutstandingBoundsInflight) {
 }
 
 TEST(FabricTest, LatencyPercentilesRecorded) {
-  sim::Simulator sim;
-  net::Network network(sim, net::NetConfig{});
+  sim::LaneGroup lanes{1, 1};
+  sim::Simulator& sim = lanes.kernel(0);
+  net::Network network(lanes, net::NetConfig{});
   auto topo = net::make_star(network, 2, Rate::gbps(10.0), common::kMicrosecond);
   FabricContext context;
   Initiator initiator(network, topo.hosts[0], context);
@@ -251,8 +255,9 @@ TEST(FabricTest, ClosedLoopLimitsQueueGrowthVsOpenLoop) {
   // Under SSD overload, a closed-loop initiator keeps latency bounded by
   // its window while the open-loop one lets it grow with the backlog.
   auto p99 = [](std::size_t window) {
-    sim::Simulator sim;
-    net::Network network(sim, net::NetConfig{});
+    sim::LaneGroup lanes{1, 1};
+    sim::Simulator& sim = lanes.kernel(0);
+    net::Network network(lanes, net::NetConfig{});
     auto topo = net::make_star(network, 2, Rate::gbps(10.0), common::kMicrosecond);
     FabricContext context;
     Initiator initiator(network, topo.hosts[0], context);

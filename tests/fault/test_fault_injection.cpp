@@ -28,8 +28,9 @@ fabric::RetryPolicy fast_retry(std::uint32_t max_retries = 10) {
 }
 
 struct Rig {
-  sim::Simulator sim;
-  net::Network network{sim, net::NetConfig{}};
+  sim::LaneGroup lanes{1, 1};
+  sim::Simulator& sim = lanes.kernel(0);
+  net::Network network{lanes, net::NetConfig{}};
   net::StarTopology topo;
   fabric::FabricContext context;
   std::unique_ptr<fabric::Initiator> initiator;
@@ -317,8 +318,9 @@ struct ScenarioOutcome {
 };
 
 ScenarioOutcome run_scenario(std::uint64_t seed) {
-  sim::Simulator sim;
-  net::Network network(sim, net::NetConfig{});
+  sim::LaneGroup lanes{1, 1};
+  sim::Simulator& sim = lanes.kernel(0);
+  net::Network network(lanes, net::NetConfig{});
   auto topo = net::make_star(network, 2, Rate::gbps(10.0), common::kMicrosecond);
   fabric::FabricContext context;
   fabric::Initiator initiator(network, topo.hosts[0], context);
@@ -400,8 +402,9 @@ struct CleanOutcome {
 };
 
 CleanOutcome run_clean(bool with_empty_injector) {
-  sim::Simulator sim;
-  net::Network network(sim, net::NetConfig{});
+  sim::LaneGroup lanes{1, 1};
+  sim::Simulator& sim = lanes.kernel(0);
+  net::Network network(lanes, net::NetConfig{});
   auto topo = net::make_star(network, 2, Rate::gbps(10.0), common::kMicrosecond);
   fabric::FabricContext context;
   fabric::Initiator initiator(network, topo.hosts[0], context);
@@ -443,8 +446,9 @@ TEST(FaultInjectionTest, EmptyPlanIsZeroOverhead) {
 TEST(FaultInjectionTest, SignalLossSuppressesCongestionCallbacks) {
   // Two targets incast into one initiator to force DCQCN rate cuts, with
   // the control plane of target 0 severed for the whole run.
-  sim::Simulator sim;
-  net::Network network(sim, net::NetConfig{});
+  sim::LaneGroup lanes{1, 1};
+  sim::Simulator& sim = lanes.kernel(0);
+  net::Network network(lanes, net::NetConfig{});
   auto topo = net::make_star(network, 3, Rate::gbps(2.0), common::kMicrosecond);
   fabric::FabricContext context;
   fabric::Initiator initiator(network, topo.hosts[0], context);
@@ -477,9 +481,11 @@ TEST(FaultInjectionTest, SignalLossSuppressesCongestionCallbacks) {
 }
 
 TEST(FaultInjectionTest, TpmFaultIsCaughtByControllerGuardrails) {
-  sim::Simulator sim;
-  net::Network network(sim, net::NetConfig{});
-  net::make_star(network, 2, Rate::gbps(10.0), common::kMicrosecond);
+  sim::LaneGroup lanes{1, 1};
+  sim::Simulator& sim = lanes.kernel(0);
+  net::Network network(lanes, net::NetConfig{});
+  const auto topo =
+      net::make_star(network, 2, Rate::gbps(10.0), common::kMicrosecond);
 
   // Minimal fitted TPM so predictions are real before corruption.
   core::Tpm tpm;
@@ -496,7 +502,7 @@ TEST(FaultInjectionTest, TpmFaultIsCaughtByControllerGuardrails) {
   FaultPlan plan;
   plan.tpm_faults.push_back({0, 0, 10 * kMillisecond, TpmFaultKind::kNan});
   FaultInjector injector(network, plan);
-  injector.add_controller(controller);
+  injector.add_controller(controller, topo.hosts[1]);
   injector.arm();
 
   // Inside the fault window (t=0): predictions are NaN, the guardrail keeps

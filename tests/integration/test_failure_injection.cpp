@@ -16,10 +16,11 @@ using common::IoType;
 using common::Rate;
 
 TEST(FailureInjectionTest, LinkBrownoutThrottlesAndRecovers) {
-  sim::Simulator sim;
+  sim::LaneGroup lanes{1, 1};
+  sim::Simulator& sim = lanes.kernel(0);
   net::NetConfig config;
   config.dcqcn.enabled = false;  // isolate the physical effect
-  net::Network net(sim, config);
+  net::Network net(lanes, config);
   const auto topo = net::make_star(net, 2, Rate::gbps(10.0), common::kMicrosecond);
 
   common::ThroughputTimeline received{common::kMillisecond};
@@ -93,8 +94,9 @@ TEST(FailureInjectionTest, FabricSurvivesTargetDeviceDegradation) {
   // A full NVMe-oF rig where one target's SSD degrades 4x mid-run: every
   // request must still complete, and the degraded target must not wedge
   // the other one.
-  sim::Simulator sim;
-  net::Network network(sim, net::NetConfig{});
+  sim::LaneGroup lanes{1, 1};
+  sim::Simulator& sim = lanes.kernel(0);
+  net::Network network(lanes, net::NetConfig{});
   const auto topo = net::make_star(network, 3, Rate::gbps(10.0), common::kMicrosecond);
   fabric::FabricContext context;
   fabric::Initiator initiator(network, topo.hosts[0], context);
@@ -135,8 +137,9 @@ TEST(FailureInjectionTest, SrcControlLoopSurvivesDeviceDegradation) {
 TEST(FailureInjectionTest, EcmpSpreadsFlowsAcrossClosPaths) {
   // Multi-path sanity: in a Clos with 2 leaves per pod, cross-pod flows
   // from many sources must not all hash onto one leaf.
-  sim::Simulator sim;
-  net::Network network(sim, net::NetConfig{});
+  sim::LaneGroup lanes{1, 1};
+  sim::Simulator& sim = lanes.kernel(0);
+  net::Network network(lanes, net::NetConfig{});
   net::ClosParams params;
   params.pods = 2;
   params.leaves_per_pod = 2;

@@ -86,10 +86,11 @@ TEST(DctcpTest, RateNeverBelowMinimum) {
 TEST(DctcpTest, HostsRunDctcpEndToEnd) {
   // In-cast with DCTCP selected: throttling happens and delivery is
   // lossless, without any DCQCN CNP pacing.
-  sim::Simulator sim;
+  sim::LaneGroup lanes{1, 1};
+  sim::Simulator& sim = lanes.kernel(0);
   NetConfig config;
   config.cc_algorithm = static_cast<int>(CcAlgorithm::kDctcp);
-  Network net(sim, config);
+  Network net(lanes, config);
   const NodeId hub = net.add_switch("hub");
   const NodeId sink = net.add_host("sink");
   net.connect(sink, hub, Rate::gbps(10.0), common::kMicrosecond);
@@ -117,10 +118,10 @@ TEST(DctcpTest, HostsRunDctcpEndToEnd) {
 TEST(DctcpTest, EchoesEveryMarkWithoutPacing) {
   // Two back-to-back marked packets must produce two feedback packets in
   // DCTCP mode (DCQCN would pace them to one per 50 us).
-  sim::Simulator sim;
+  sim::LaneGroup lanes{1, 1};
   NetConfig config;
   config.cc_algorithm = static_cast<int>(CcAlgorithm::kDctcp);
-  Network net(sim, config);
+  Network net(lanes, config);
   const NodeId a = net.add_host("a");
   const NodeId b = net.add_host("b");
   const NodeId hub = net.add_switch("hub");

@@ -9,8 +9,9 @@ using common::Rate;
 
 // Diamond: a - s1 - {m1, m2} - s2 - b (two equal-cost paths).
 struct DiamondRig {
-  sim::Simulator sim;
-  Network net{sim, NetConfig{}};
+  sim::LaneGroup lanes{1, 1};
+  sim::Simulator& sim = lanes.kernel(0);
+  Network net{lanes, NetConfig{}};
   NodeId a, b, s1, s2, m1, m2;
 
   DiamondRig() {

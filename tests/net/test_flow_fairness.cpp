@@ -12,10 +12,11 @@ using common::Rate;
 TEST(FlowFairnessTest, RoundRobinSharesUplinkAcrossDestinations) {
   // One sender, three receivers, all links equal: each destination's flow
   // gets roughly a third of the uplink.
-  sim::Simulator sim;
+  sim::LaneGroup lanes{1, 1};
+  sim::Simulator& sim = lanes.kernel(0);
   NetConfig config;
   config.dcqcn.enabled = false;
-  Network net(sim, config);
+  Network net(lanes, config);
   const auto topo = make_star(net, 4, Rate::gbps(12.0), common::kMicrosecond);
 
   std::array<std::uint64_t, 3> received{};
@@ -34,10 +35,11 @@ TEST(FlowFairnessTest, RoundRobinSharesUplinkAcrossDestinations) {
 }
 
 TEST(FlowFairnessTest, ChannelsOfOnePairShareFairly) {
-  sim::Simulator sim;
+  sim::LaneGroup lanes{1, 1};
+  sim::Simulator& sim = lanes.kernel(0);
   NetConfig config;
   config.dcqcn.enabled = false;
-  Network net(sim, config);
+  Network net(lanes, config);
   const auto topo = make_star(net, 2, Rate::gbps(10.0), common::kMicrosecond);
 
   // Two channels with equal demand: the per-channel flows interleave.
@@ -58,8 +60,9 @@ TEST(FlowFairnessTest, ChannelsOfOnePairShareFairly) {
 TEST(FlowFairnessTest, DcqcnConvergesTowardFairShareUnderIncast) {
   // Two senders into one 10 G sink with DCQCN: long-run shares are roughly
   // equal (within the sawtooth).
-  sim::Simulator sim;
-  Network net(sim, NetConfig{});
+  sim::LaneGroup lanes{1, 1};
+  sim::Simulator& sim = lanes.kernel(0);
+  Network net(lanes, NetConfig{});
   const auto topo = make_star(net, 3, Rate::gbps(10.0), common::kMicrosecond);
   std::array<std::uint64_t, 2> received{};
   net.host(topo.hosts[0]).set_data_handler(

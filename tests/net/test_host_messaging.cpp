@@ -10,12 +10,13 @@ namespace {
 using common::Rate;
 
 struct Rig {
-  sim::Simulator sim;
+  sim::LaneGroup lanes{1, 1};
+  sim::Simulator& sim = lanes.kernel(0);
   NetConfig config;
   Network net;
   NodeId a, b, s;
 
-  explicit Rig(NetConfig cfg = NetConfig{}) : config(cfg), net(sim, config) {
+  explicit Rig(NetConfig cfg = NetConfig{}) : config(cfg), net(lanes, config) {
     a = net.add_host("a");
     b = net.add_host("b");
     s = net.add_switch("s");

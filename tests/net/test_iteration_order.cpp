@@ -17,9 +17,10 @@ namespace {
 using common::Rate;
 
 TEST(HostIterationOrder, TotalAllowedRateFoldsFlowsInCreationOrder) {
-  sim::Simulator sim;
+  sim::LaneGroup lanes{1, 1};
+  sim::Simulator& sim = lanes.kernel(0);
   NetConfig config;
-  Network net(sim, config);
+  Network net(lanes, config);
   const NodeId a = net.add_host("a");
   const NodeId b = net.add_host("b");
   const NodeId s = net.add_switch("s");
@@ -71,9 +72,10 @@ TEST(HostIterationOrder, TotalAllowedRateFoldsFlowsInCreationOrder) {
 }
 
 TEST(HostIterationOrder, TxqByteCountsMatchAcrossAccessors) {
-  sim::Simulator sim;
+  sim::LaneGroup lanes{1, 1};
+  sim::Simulator& sim = lanes.kernel(0);
   NetConfig config;
-  Network net(sim, config);
+  Network net(lanes, config);
   const NodeId a = net.add_host("a");
   const NodeId b = net.add_host("b");
   const NodeId s = net.add_switch("s");

@@ -10,7 +10,8 @@ using common::Rate;
 // In-cast rig: several senders all pushing to one receiver through a hub;
 // the receiver's downlink is the congestion point.
 struct IncastRig {
-  sim::Simulator sim;
+  sim::LaneGroup lanes{1, 1};
+  sim::Simulator& sim = lanes.kernel(0);
   NetConfig config;
   Network net;
   std::vector<NodeId> senders;
@@ -18,7 +19,7 @@ struct IncastRig {
   NodeId hub;
 
   explicit IncastRig(NetConfig cfg, std::size_t n_senders = 4)
-      : config(cfg), net(sim, config) {
+      : config(cfg), net(lanes, config) {
     hub = net.add_switch("hub");
     sink = net.add_host("sink");
     net.connect(sink, hub, Rate::gbps(10.0), common::kMicrosecond);

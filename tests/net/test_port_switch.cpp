@@ -14,9 +14,10 @@ using common::Rate;
 
 // Two hosts joined by one switch; raw port/switch behaviour.
 struct Rig {
-  sim::Simulator sim;
+  sim::LaneGroup lanes{1, 1};
+  sim::Simulator& sim = lanes.kernel(0);
   NetConfig config;
-  Network net{sim, config};
+  Network net{lanes, config};
   NodeId a, b, s;
 
   Rig() {
@@ -87,12 +88,13 @@ TEST(PortSwitchTest, ThroughputBoundedByLineRate) {
 TEST(PortSwitchTest, TwoSendersShareEgressFairly) {
   // a and b both send to a third host c through the hub; c's downlink is
   // the bottleneck and both flows should make progress.
-  sim::Simulator sim;
+  sim::LaneGroup lanes{1, 1};
+  sim::Simulator& sim = lanes.kernel(0);
   NetConfig config;
   config.dcqcn.enabled = false;  // raw sharing, no rate control
   config.pfc.enabled = false;
   config.ecn.enabled = false;
-  Network net(sim, config);
+  Network net(lanes, config);
   const NodeId a = net.add_host("a");
   const NodeId b = net.add_host("b");
   const NodeId c = net.add_host("c");
@@ -128,12 +130,13 @@ TEST(PortSwitchTest, PausedEgressBacklogGrowsRingAndDrainsInOrder) {
   // PFC pause pile-up shape: the host keeps pacing packets into a paused
   // port, so the ring buffer must grow well past its initial capacity and
   // then drain strictly in FIFO order on resume.
-  sim::Simulator sim;
+  sim::LaneGroup lanes{1, 1};
+  sim::Simulator& sim = lanes.kernel(0);
   NetConfig config;
   config.dcqcn.enabled = false;
   config.pfc.enabled = false;
   config.ecn.enabled = false;
-  Network net(sim, config);
+  Network net(lanes, config);
   const NodeId a = net.add_host("a");
   const NodeId b = net.add_host("b");
   const NodeId s = net.add_switch("s");
@@ -172,12 +175,13 @@ TEST(PortSwitchTest, PausedEgressBacklogGrowsRingAndDrainsInOrder) {
 TEST(PortSwitchTest, DropFilterLeavesQueueBytesAccountingExact) {
   // A filtered packet must never touch queue_bytes_ (it goes straight to
   // the drop counters), and surviving packets must account exactly.
-  sim::Simulator sim;
+  sim::LaneGroup lanes{1, 1};
+  sim::Simulator& sim = lanes.kernel(0);
   NetConfig config;
   config.dcqcn.enabled = false;
   config.pfc.enabled = false;
   config.ecn.enabled = false;
-  Network net(sim, config);
+  Network net(lanes, config);
   const NodeId a = net.add_host("a");
   const NodeId b = net.add_host("b");
   const NodeId s = net.add_switch("s");
@@ -269,8 +273,8 @@ TEST(PortSwitchTest, IngressPortScrubbedWhenPacketLeavesEachSwitch) {
 }
 
 TEST(PortSwitchTest, UnroutablePacketThrows) {
-  sim::Simulator sim;
-  Network net(sim, NetConfig{});
+  sim::LaneGroup lanes{1, 1};
+  Network net(lanes, NetConfig{});
   const NodeId a = net.add_host("a");
   const NodeId s = net.add_switch("s");
   net.connect(a, s, Rate::gbps(10.0), common::kMicrosecond);

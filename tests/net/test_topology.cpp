@@ -8,8 +8,9 @@ namespace {
 using common::Rate;
 
 TEST(TopologyTest, StarConnectsAllHosts) {
-  sim::Simulator sim;
-  Network net(sim, NetConfig{});
+  sim::LaneGroup lanes{1, 1};
+  sim::Simulator& sim = lanes.kernel(0);
+  Network net(lanes, NetConfig{});
   const auto topo = make_star(net, 5, Rate::gbps(10.0), common::kMicrosecond);
   ASSERT_EQ(topo.hosts.size(), 5u);
 
@@ -24,8 +25,9 @@ TEST(TopologyTest, StarConnectsAllHosts) {
 }
 
 TEST(TopologyTest, DumbbellRoutesAcrossBottleneck) {
-  sim::Simulator sim;
-  Network net(sim, NetConfig{});
+  sim::LaneGroup lanes{1, 1};
+  sim::Simulator& sim = lanes.kernel(0);
+  Network net(lanes, NetConfig{});
   const auto topo = make_dumbbell(net, 3, Rate::gbps(10.0), Rate::gbps(10.0),
                                   common::kMicrosecond);
   std::uint64_t delivered = 0;
@@ -39,10 +41,11 @@ TEST(TopologyTest, DumbbellRoutesAcrossBottleneck) {
 }
 
 TEST(TopologyTest, DumbbellBottleneckLimitsAggregate) {
-  sim::Simulator sim;
+  sim::LaneGroup lanes{1, 1};
+  sim::Simulator& sim = lanes.kernel(0);
   NetConfig cfg;
   cfg.dcqcn.enabled = false;
-  Network net(sim, cfg);
+  Network net(lanes, cfg);
   const auto topo = make_dumbbell(net, 2, Rate::gbps(10.0), Rate::gbps(1.0),
                                   common::kMicrosecond);
   std::uint64_t delivered = 0;
@@ -58,8 +61,8 @@ TEST(TopologyTest, DumbbellBottleneckLimitsAggregate) {
 }
 
 TEST(TopologyTest, ClosBuildsPaperScale) {
-  sim::Simulator sim;
-  Network net(sim, NetConfig{});
+  sim::LaneGroup lanes{1, 1};
+  Network net(lanes, NetConfig{});
   const auto topo = make_clos(net);
   // 4 pods x 4 ToRs x 16 hosts = 256 hosts; 16 ToRs; 8 leaves.
   EXPECT_EQ(topo.hosts.size(), 256u);
@@ -68,13 +71,14 @@ TEST(TopologyTest, ClosBuildsPaperScale) {
 }
 
 TEST(TopologyTest, ClosCrossPodDelivery) {
-  sim::Simulator sim;
+  sim::LaneGroup lanes{1, 1};
+  sim::Simulator& sim = lanes.kernel(0);
   ClosParams params;
   params.pods = 2;
   params.leaves_per_pod = 2;
   params.tors_per_pod = 2;
   params.hosts_per_tor = 2;
-  Network net(sim, NetConfig{});
+  Network net(lanes, NetConfig{});
   const auto topo = make_clos(net, params);
   ASSERT_EQ(topo.hosts.size(), 8u);
 
@@ -90,13 +94,14 @@ TEST(TopologyTest, ClosCrossPodDelivery) {
 }
 
 TEST(TopologyTest, ClosAllPairsReachable) {
-  sim::Simulator sim;
+  sim::LaneGroup lanes{1, 1};
+  sim::Simulator& sim = lanes.kernel(0);
   ClosParams params;
   params.pods = 2;
   params.leaves_per_pod = 1;
   params.tors_per_pod = 2;
   params.hosts_per_tor = 2;
-  Network net(sim, NetConfig{});
+  Network net(lanes, NetConfig{});
   const auto topo = make_clos(net, params);
 
   int delivered = 0;

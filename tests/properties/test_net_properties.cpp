@@ -44,7 +44,8 @@ class NetPropertyTest : public ::testing::TestWithParam<NetCell> {
 
   Run run_incast(std::uint64_t bytes_per_sender) {
     const NetCell cell = GetParam();
-    sim::Simulator sim;
+    sim::LaneGroup lanes{1, 1};
+    sim::Simulator& sim = lanes.kernel(0);
     NetConfig config;
     config.ecn.enabled = cell.ecn;
     config.pfc.enabled = cell.pfc;
@@ -52,7 +53,7 @@ class NetPropertyTest : public ::testing::TestWithParam<NetCell> {
     // Keep PFC meaningfully reachable when it is the only mechanism.
     config.pfc.xoff_bytes = 96 * 1024;
     config.pfc.xon_bytes = 48 * 1024;
-    Network net(sim, config);
+    Network net(lanes, config);
     const NodeId hub = net.add_switch("hub");
     const NodeId sink = net.add_host("sink");
     net.connect(sink, hub, Rate::gbps(cell.link_gbps), common::kMicrosecond);

@@ -1,9 +1,10 @@
 // Lane-count invariance: the sharded lane engine must produce bit-identical
 // results no matter how many worker threads execute the shard decomposition
 // (DESIGN.md §14). Two existing star presets and the pod-grammar preset run
-// at lanes 1 / 2 / 4 and compare full snapshots as bytes — not tolerances —
-// and the pod snapshot is additionally pinned against a committed golden so
-// cross-version drift is caught even when all lane counts drift together.
+// at lanes 1 / 2 / 4 and compare full snapshots, metrics and traces as
+// bytes — not tolerances — and the pod snapshot is additionally pinned
+// against a committed golden so cross-version drift is caught even when
+// all lane counts drift together.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -16,11 +17,12 @@
 namespace src::regression {
 namespace {
 
-/// Run a star preset on the lane engine (lanes >= 1) and snapshot it.
-/// Note lanes=0 (the classic single-kernel engine) is intentionally NOT in
-/// the comparison set: the lane engine merges cross-shard deliveries at
+/// Run a star preset on the hosts | hub shard plan (lanes >= 1) and
+/// snapshot it: results and counters, then the whole metrics and trace
+/// JSON. Note lanes=0 (the one-shard plan) is intentionally NOT in the
+/// comparison set: the two-shard plan merges cross-shard deliveries at
 /// window boundaries in (when, src, seq) order, which is a different —
-/// equally deterministic — tie order than the classic global calendar's.
+/// equally deterministic — tie order than one calendar's.
 std::string star_snapshot_at(const std::string& preset, const core::Tpm* tpm,
                              std::size_t lanes) {
   scenario::ScenarioSpec spec = scenario::preset_spec(preset);
@@ -30,12 +32,16 @@ std::string star_snapshot_at(const std::string& preset, const core::Tpm* tpm,
   options.tpm = tpm;
   core::ExperimentConfig config = scenario::build(spec, options).config;
 
-  obs::ObsConfig obs_config;
-  obs_config.tracing = false;
-  obs::Observatory observatory(obs_config);
+  obs::Observatory observatory;
   config.observatory = &observatory;
   const core::ExperimentResult result = core::run_experiment(config);
-  return experiment_snapshot(result, observatory).dump(2);
+  const obs::Json snapshot = experiment_snapshot(result, observatory);
+#if !defined(SRC_OBS_DISABLE)
+  // Lanes record: the counters compared here must not be empty.
+  EXPECT_GT(snapshot.find("counters")->as_object().size(), 0u) << preset;
+  EXPECT_GT(observatory.tracer().recorded(), 0u) << preset;
+#endif
+  return snapshot.dump(2) + observatory.metrics_json() + observatory.trace_json();
 }
 
 TEST(LaneDeterminism, Fig7ReducedIsLaneCountInvariant) {
@@ -56,20 +62,36 @@ TEST(LaneDeterminism, Table4ReducedIsLaneCountInvariant) {
 }
 
 TEST(LaneDeterminism, PodIncastSnapshotIsLaneCountInvariantAndPinned) {
+  // The result, plus the metrics and trace JSON the lanes recorded.
+  struct Run {
+    core::PodExperimentResult result;
+    std::string observed;
+  };
   auto run_at = [](std::size_t lanes) {
     scenario::ScenarioSpec spec = scenario::preset_spec("pod-incast-reduced");
     spec.lanes = lanes;
-    return scenario::run_pod(spec);
+    obs::Observatory observatory;
+    scenario::BuildOptions options;
+    options.observatory = &observatory;
+    Run run{scenario::run_pod(spec, options), ""};
+    run.observed = observatory.metrics_json() + observatory.trace_json();
+    return run;
   };
-  const core::PodExperimentResult serial = run_at(1);
-  const std::string one = serial.snapshot();
-  EXPECT_GT(serial.windows, 0u);
+  const Run serial = run_at(1);
+  const std::string one = serial.result.snapshot();
+  EXPECT_GT(serial.result.windows, 0u);
+#if !defined(SRC_OBS_DISABLE)
+  EXPECT_NE(serial.observed.find("\"net."), std::string::npos)
+      << "the pod lanes recorded no network metrics";
+#endif
   for (const std::size_t lanes : {2u, 4u}) {
-    const core::PodExperimentResult result = run_at(lanes);
-    EXPECT_EQ(result.snapshot(), one)
+    const Run run = run_at(lanes);
+    EXPECT_EQ(run.result.snapshot(), one)
         << "pod-incast-reduced drifted at lanes=" << lanes;
+    EXPECT_EQ(run.observed, serial.observed)
+        << "pod-incast-reduced metrics or trace drifted at lanes=" << lanes;
     // The window sequence is a function of the simulated timeline only.
-    EXPECT_EQ(result.windows, serial.windows)
+    EXPECT_EQ(run.result.windows, serial.result.windows)
         << "pod-incast-reduced window count drifted at lanes=" << lanes;
   }
 

@@ -9,10 +9,12 @@
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/types.hpp"
+#include "obs/obs.hpp"
 
 namespace src::sim {
 namespace {
@@ -366,6 +368,93 @@ TEST(LaneGroupTest, SixtyFourShardPingPongIsLaneCountInvariant) {
     EXPECT_EQ(lanes.windows_executed(), want_windows)
         << "lane_count=" << lane_count;
   }
+}
+
+// Lanes record: six shards each count, set a gauge, fill a latency
+// histogram and emit trace events while tokens circulate among them. The
+// caller's observatory must hold the same record, byte for byte, at every
+// lane count — shard 0 writes it directly, the other shards' private
+// observatories merge in shard order after each run_until — and the trace
+// ring, small enough to wrap, must count every event it saw.
+TEST(LaneGroupTest, ObservatoryRecordIsLaneCountInvariant) {
+#if defined(SRC_OBS_DISABLE)
+  GTEST_SKIP() << "instrumentation is compiled out";
+#endif
+  constexpr std::size_t kShards = 6;
+  constexpr int kRounds = 300;
+  constexpr std::size_t kCapacity = 512;
+  struct Record {
+    std::string metrics;
+    std::string trace;
+    std::uint64_t hops = 0;
+    std::uint64_t recorded = 0;
+    std::uint64_t dropped = 0;
+  };
+  const auto record_at = [](std::size_t lane_count) {
+    obs::Observatory observatory(obs::ObsConfig{true, kCapacity});
+    const obs::ObsScope scope(&observatory);
+    LaneGroup lanes(kShards, lane_count);
+    lanes.set_lookahead(3);
+    std::function<void(std::size_t, std::size_t, int)> hop =
+        [&](std::size_t at, std::size_t stride, int round) {
+          const SimTime now = lanes.kernel(at).now();
+          SRC_OBS_COUNT("lane.hops");
+          SRC_OBS_COUNT_ADD("lane.weighted_hops", at + 1);
+          SRC_OBS_GAUGE("lane.last_round", round);
+          SRC_OBS_LATENCY_US("lane.hop_us", static_cast<double>(now % 97));
+          SRC_OBS_INSTANT("sim", "hop", now, static_cast<std::uint32_t>(at),
+                          static_cast<double>(round));
+          SRC_OBS_TRACE_COUNTER("sim", "round", now,
+                                static_cast<std::uint32_t>(at + 1),
+                                static_cast<double>(round));
+          if (round >= kRounds) return;
+          const std::size_t dst = (at + stride) % kShards;
+          lanes.post(at, dst, now + 3 + static_cast<SimTime>(at),
+                     Simulator::Callback([&hop, dst, stride, round] {
+                       hop(dst, stride, round + 1);
+                     }));
+        };
+    for (std::size_t s = 0; s < kShards; ++s) {
+      for (const std::size_t stride : {1u, 5u}) {
+        lanes.kernel(s).schedule_at(0, [&hop, s, stride] { hop(s, stride, 0); });
+      }
+    }
+    // Several calls, so merges interleave with shard 0's direct writes;
+    // the later, longer ones overflow the private rings too.
+    for (SimTime deadline = 400; !lanes.drained(); deadline *= 2) {
+      lanes.run_until(deadline);
+    }
+    return Record{observatory.metrics_json(), observatory.trace_json(),
+                  observatory.metrics().find_counter("lane.hops")->value(),
+                  observatory.tracer().recorded(),
+                  observatory.tracer().dropped()};
+  };
+
+  const Record one = record_at(1);
+  constexpr std::uint64_t kHops = kShards * 2 * (kRounds + 1);
+  EXPECT_EQ(one.hops, kHops);
+  EXPECT_EQ(one.recorded, 2 * kHops);
+  EXPECT_EQ(one.dropped, 2 * kHops - kCapacity);
+  for (const std::size_t lane_count : {2u, 4u}) {
+    const Record lanes = record_at(lane_count);
+    EXPECT_EQ(lanes.metrics, one.metrics) << "metrics drifted at lanes=" << lane_count;
+    EXPECT_EQ(lanes.trace, one.trace) << "trace drifted at lanes=" << lane_count;
+    EXPECT_EQ(lanes.recorded, one.recorded);
+  }
+}
+
+// No observatory current: shards record nothing and run unobserved.
+TEST(LaneGroupTest, NoObservatoryRecordsNothing) {
+  LaneGroup lanes(3, 3);
+  lanes.set_lookahead(2);
+  bool observed[3] = {true, true, true};  // one slot per shard: no race
+  for (std::size_t s = 0; s < 3; ++s) {
+    lanes.kernel(s).schedule_at(1, [&observed, s] {
+      observed[s] = obs::current() != nullptr;
+    });
+  }
+  lanes.run_until(10);
+  for (const bool o : observed) EXPECT_FALSE(o);
 }
 
 }  // namespace

@@ -88,12 +88,14 @@ const Type kOutput{Kind::kOutput};
 const Type kSwitch{Kind::kSwitch};
 const Type kText{Kind::kText};
 
-/// {name, type, default (empty = none), one-line help}.
+/// {name, type, default (empty = none), one-line help, scope}. A scoped
+/// flag is read only when the command's mode selector has that value.
 struct Flag {
   std::string name;
   Type type;
   std::string fallback;
   const char* help;
+  const char* scope = "";  ///< mode value that reads it; "" = every mode
 };
 
 /// A positional operand slot that takes `min`..`max` tokens.
@@ -116,7 +118,17 @@ struct Command {
   std::vector<Operand> operands;
   int (*handler)(const Args&);
   const char* notes = "";  ///< extra paragraph for --help
+  /// "--flag" or "<operand>" whose value selects which scoped flags apply.
+  const char* mode = "";
 };
+
+/// "chaos run" or "trace-gen --preset micro": the command line a scoped
+/// flag belongs to.
+std::string scope_text(const Command& command, const Flag& flag) {
+  const std::string mode = command.mode;
+  return std::string(command.name) + " " +
+         (mode.rfind("--", 0) == 0 ? mode + " " : "") + flag.scope;
+}
 
 template <typename T>
 bool parse_whole(const std::string& text, T& value) {
@@ -248,7 +260,7 @@ class Args {
   }
 
   /// Every given value against its type, then required flags, then the
-  /// operand slots in order.
+  /// operand slots in order, then the scoped flags against the mode.
   void check() const {
     for (const Flag& flag : command_.flags) {
       const auto it = values_.find(flag.name);
@@ -274,6 +286,13 @@ class Args {
     if (next < operands_.size()) {
       throw UsageError("", "unexpected argument '" + operands_[next] + "'");
     }
+    const std::string mode = mode_value();
+    for (const Flag& flag : command_.flags) {
+      if (*flag.scope != '\0' && has(flag.name) && mode != flag.scope) {
+        throw UsageError("--" + flag.name,
+                         "only '" + scope_text(command_, flag) + "' reads it");
+      }
+    }
   }
 
   bool has(const std::string& name) const { return values_.count(name) > 0; }
@@ -298,6 +317,19 @@ class Args {
   const std::vector<std::string>& tokens() const { return tokens_; }
 
  private:
+  /// The mode selector's value: the flag's value or default, or the
+  /// operand's token (operands before it take exactly one token each).
+  std::string mode_value() const {
+    const std::string mode = command_.mode;
+    if (mode.rfind("--", 0) == 0) return text(mode.substr(2));
+    for (std::size_t i = 0; i < command_.operands.size(); ++i) {
+      if ("<" + std::string(command_.operands[i].name) + ">" == mode) {
+        return i < operands_.size() ? operands_[i] : std::string();
+      }
+    }
+    return "";
+  }
+
   const Flag* find(const std::string& name) const {
     if (name == kHelpFlag.name) return &kHelpFlag;
     for (const Flag& flag : command_.flags) {
@@ -407,14 +439,24 @@ obs::Json run_report(const std::string& scenario_name,
   return report;
 }
 
+/// --trace-out: write the run's Perfetto trace and say what it kept.
+void write_trace(const Args& args, const obs::Observatory& observatory) {
+  if (!args.has("trace-out")) return;
+  const std::string out = args.text("trace-out");
+  write_text_file(out, observatory.trace_json());
+  std::printf("trace: %zu events kept (%llu recorded, %llu dropped) -> %s\n",
+              observatory.tracer().size(),
+              static_cast<unsigned long long>(observatory.tracer().recorded()),
+              static_cast<unsigned long long>(observatory.tracer().dropped()),
+              out.c_str());
+}
+
 /// Pod-kind arm of `srcctl run`: pod manifests execute on the sharded lane
 /// engine via scenario::run_pod and report pod metrics (striped read/write
 /// chunks, cross-shard messages) instead of the star experiment's weight
 /// trajectory. --metrics-out writes an "src-pod-run-v1" report.
-int run_pod_scenario(const scenario::ScenarioSpec& spec, const Args& args) {
-  obs::ObsConfig obs_config;
-  obs_config.tracing = false;
-  obs::Observatory observatory(obs_config);
+int run_pod_scenario(const scenario::ScenarioSpec& spec, const Args& args,
+                     obs::Observatory& observatory) {
   scenario::BuildOptions options;
   options.observatory = &observatory;
   const core::PodExperimentResult result = scenario::run_pod(spec, options);
@@ -439,6 +481,7 @@ int run_pod_scenario(const scenario::ScenarioSpec& spec, const Args& args) {
               static_cast<unsigned long long>(result.cross_shard_messages),
               common::to_milliseconds(result.end_time));
 
+  write_trace(args, observatory);
   if (args.has("metrics-out")) {
     obs::Json report{obs::Json::Object{}};
     report.set("schema", obs::Json{"src-pod-run-v1"});
@@ -525,23 +568,20 @@ int cmd_run(const Args& args) {
     return 0;
   }
   const bool traced = args.has("trace-out");
-  if (traced && (spec.topology.kind == "pod" || spec.lanes >= 1)) {
-    throw UsageError("--trace-out",
-                     "the lane engine (pod kind or lanes >= 1) records no "
-                     "trace events; run a star scenario at lanes 0");
-  }
   if (args.has("trace-capacity") && !traced) {
     throw UsageError("--trace-capacity", "needs --trace-out");
   }
-  if (spec.topology.kind == "pod") return run_pod_scenario(spec, args);
-
-  const auto model = resolve_tpm(args, spec);
-  scenario::BuildOptions options;
-  options.tpm = model.get();
   obs::ObsConfig obs_config;
   obs_config.tracing = traced;
   obs_config.trace_capacity = args.integer("trace-capacity");
   obs::Observatory observatory(obs_config);
+  if (spec.topology.kind == "pod") {
+    return run_pod_scenario(spec, args, observatory);
+  }
+
+  const auto model = resolve_tpm(args, spec);
+  scenario::BuildOptions options;
+  options.tpm = model.get();
   options.observatory = &observatory;
 
   const scenario::BuiltScenario built = scenario::build(spec, options);
@@ -566,15 +606,7 @@ int cmd_run(const Args& args) {
     std::printf("  Jain index %.4f\n", result.read_fairness_index());
   }
   print_robustness(spec.name, result);
-  if (traced) {
-    const std::string out = args.text("trace-out");
-    write_text_file(out, observatory.trace_json());
-    std::printf("trace: %zu events kept (%llu recorded, %llu dropped) -> %s\n",
-                observatory.tracer().size(),
-                static_cast<unsigned long long>(observatory.tracer().recorded()),
-                static_cast<unsigned long long>(observatory.tracer().dropped()),
-                out.c_str());
-  }
+  write_trace(args, observatory);
   if (args.has("metrics-out")) {
     const std::string out = args.text("metrics-out");
     write_text_file(out, run_report(spec.name, result, observatory).dump(2));
@@ -1204,16 +1236,17 @@ const Command kCommands[] = {
     {"run", "run a scenario manifest (src-scenario-v1 JSON)",
      {{"model", kInput, "", "pre-fitted TPM; overrides the manifest's src.tpm source"},
       {"metrics-out", kOutput, "", "write a src-run-v1 report (src-pod-run-v1 for pods)"},
-      {"trace-out", kOutput, "", "record a Chrome trace_event JSON (star, lanes 0)"},
+      {"trace-out", kOutput, "", "record a Chrome trace_event JSON"},
       {"trace-capacity", integer(1), "65536", "trace ring-buffer size, events"},
       {"lanes", integer(), "", "override the manifest's lane count"},
       {"dump", kSwitch, "", "print the parsed manifest as canonical JSON; do not run"},
       {"lenient", kSwitch, "", "exit 0 instead of 3 on a health failure"}},
      {{"scenario.json", kInput, 1, 1, "the manifest to run"}},
      cmd_run,
-     "Lanes: 0 = classic single-kernel engine; N >= 1 = sharded lane engine\n"
-     "with N worker threads, identical results at every N. Pod manifests\n"
-     "always run on the lane engine. Load a trace at https://ui.perfetto.dev.\n"
+     "Lanes: a star runs as one shard at 0 and as hosts | hub shards at\n"
+     "N >= 1, run by N worker threads with identical results at every N; a\n"
+     "pod runs its partition's shards on N threads. Metrics and traces do\n"
+     "not depend on N. Load a trace at https://ui.perfetto.dev.\n"
      "Exit codes: 0 clean run, 1 runtime failure, 2 usage error, 3 health\n"
      "failure (a controller guardrail tripped, requests exhausted their\n"
      "retries, or a `verify` invariant checker fired)."},
@@ -1232,11 +1265,13 @@ const Command kCommands[] = {
      {{"out", required(kOutput), "", "CSV file to write (-o)"},
       {"preset", choice("micro|vdi|cbs"), "micro", "workload family"},
       {"count", integer(1), "5000", "requests per stream"},
-      {"iat", positive(), "15", "micro: mean inter-arrival time, us"},
-      {"size-kb", positive(), "32", "micro: mean request size, KB"},
+      {"iat", positive(), "15", "mean inter-arrival time, us", "micro"},
+      {"size-kb", positive(), "32", "mean request size, KB", "micro"},
       {"seed", integer(), "7", "trace seed"}},
      {},
-     cmd_trace_gen},
+     cmd_trace_gen,
+     "",
+     "--preset"},
     {"trace-stats", "summarize a CSV block trace",
      {{"trace", required(kInput), "", "CSV trace to read"}},
      {},
@@ -1248,16 +1283,16 @@ const Command kCommands[] = {
      {},
      cmd_replay},
     {"chaos", "randomized fault campaigns with invariant verification",
-     {{"base", kText, "", "run: base preset name or manifest file"},
-      {"trials", integer(1), "200", "run: number of trials"},
-      {"seed", integer(), "1", "run: campaign seed"},
-      {"jobs", integer(), "0", "run: worker threads (0 = hardware)"},
-      {"out-dir", kOutput, "", "run: write reproducers and the src-chaos-v1 report here"},
-      {"no-shrink", kSwitch, "", "run: do not shrink failing trials"},
-      {"shrink-budget", integer(1), "150", "run: max runs per shrink"},
-      {"link-downs", kSwitch, "", "run: also sample link-down faults"},
-      {"budget", integer(1), "150", "shrink: max runs"},
-      {"out", kOutput, "min.json", "shrink: minimal manifest to write (-o)"},
+     {{"base", kText, "", "base preset name or manifest file", "run"},
+      {"trials", integer(1), "200", "number of trials", "run"},
+      {"seed", integer(), "1", "campaign seed", "run"},
+      {"jobs", integer(), "0", "worker threads (0 = hardware)", "run"},
+      {"out-dir", kOutput, "", "write reproducers and the src-chaos-v1 report here", "run"},
+      {"no-shrink", kSwitch, "", "do not shrink failing trials", "run"},
+      {"shrink-budget", integer(1), "150", "max runs per shrink", "run"},
+      {"link-downs", kSwitch, "", "also sample link-down faults", "run"},
+      {"budget", integer(1), "150", "max runs", "shrink"},
+      {"out", kOutput, "min.json", "minimal manifest to write (-o)", "shrink"},
       {"model", kInput, "", "pre-fitted TPM shared by every run"}},
      {{"command", choice("run|replay|shrink"), 1, 1, "what to do"},
       {"manifest.json", kInput, 0, 1, "replay/shrink: the manifest"}},
@@ -1266,7 +1301,8 @@ const Command kCommands[] = {
      "replay runs a manifest twice and compares digests; shrink reduces a\n"
      "failing manifest to a minimal one that trips the same checker.\n"
      "Exit codes: 0 clean, 1 nondeterminism or nothing to shrink, 2 usage\n"
-     "error, 3 invariant violations found."},
+     "error, 3 invariant violations found.",
+     "<command>"},
     {"benchcheck", "validate BENCH_*.json files against src-bench-v1",
      {{"baseline", kInput, "", "also gate section names, items and events against it"},
       {"tolerance", number(0.0), "0.1", "relative events tolerance for --baseline"}},
@@ -1326,8 +1362,10 @@ void print_help(const Command& command) {
     const std::string note = flag.type.required ? " (required)"
                              : flag.fallback.empty() ? ""
                                                      : " (default " + flag.fallback + ")";
+    const std::string scope =
+        *flag.scope == '\0' ? "" : "[" + scope_text(command, flag) + "] ";
     rows.emplace_back("--" + flag.name + (type.empty() ? "" : " <" + type + ">"),
-                      flag.help + note);
+                      scope + flag.help + note);
   }
   std::size_t width = 0;
   for (const auto& row : rows) width = std::max(width, row.first.size());
