@@ -12,6 +12,9 @@
 #include "bench/harness.hpp"
 #include "common/table.hpp"
 #include "core/presets.hpp"
+#include "scenario/build.hpp"
+#include "scenario/presets.hpp"
+#include "workload/mmpp.hpp"
 #include "runner/runner.hpp"
 
 using namespace src;
@@ -43,7 +46,7 @@ workload::Trace phase_shifting_trace(std::uint64_t seed) {
 }
 
 core::ExperimentConfig phased_experiment(bool use_src, const core::Tpm* tpm) {
-  auto config = core::vdi_experiment(use_src, tpm);
+  auto config = scenario::build(scenario::vdi_spec(use_src), {.tpm = tpm}).config;
   config.trace_for = [](std::size_t index) {
     return phase_shifting_trace(500 + 31 * index);
   };

@@ -9,13 +9,16 @@
 
 #include "common/table.hpp"
 #include "core/presets.hpp"
+#include "scenario/build.hpp"
+#include "scenario/presets.hpp"
+#include "workload/mmpp.hpp"
 
 using namespace src;
 
 namespace {
 
 core::ExperimentConfig cbs_experiment(bool use_src, const core::Tpm* tpm) {
-  auto config = core::vdi_experiment(use_src, tpm);
+  auto config = scenario::build(scenario::vdi_spec(use_src), {.tpm = tpm}).config;
   config.trace_for = [](std::size_t index) {
     // CBS-like: bursty, small requests, write-dominated byte flow; scaled
     // to keep the write stream under the outbound link as DESIGN SS5 does.

@@ -8,6 +8,8 @@
 
 #include "common/table.hpp"
 #include "core/presets.hpp"
+#include "scenario/build.hpp"
+#include "scenario/presets.hpp"
 
 using namespace src;
 
@@ -17,8 +19,8 @@ int main() {
   std::printf("training TPM...\n\n");
   const core::Tpm tpm = core::train_default_tpm(ssd::ssd_a());
 
-  const auto only = core::run_experiment(core::vdi_experiment(false, nullptr));
-  const auto with_src = core::run_experiment(core::vdi_experiment(true, &tpm));
+  const auto only = scenario::run(scenario::vdi_spec(false));
+  const auto with_src = scenario::run(scenario::vdi_spec(true), {.tpm = &tpm});
 
   common::TextTable table({"Mode", "class", "p50 ms", "p99 ms", "mean ms",
                            "completions"});

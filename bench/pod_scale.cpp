@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
       {
         auto scope = harness.scope(std::string(point.name) +
                                    "/lanes=" + std::to_string(lanes));
-        result = scenario::run_pod(spec);
+        result = core::run_pod_experiment(scenario::build_pod(spec));
         scope.events(result.events_executed);
         scope.items(result.reads_completed + result.writes_completed);
       }

@@ -15,6 +15,7 @@
 #include "common/table.hpp"
 #include "core/presets.hpp"
 #include "runner/runner.hpp"
+#include "workload/mmpp.hpp"
 
 using namespace src;
 

@@ -26,6 +26,22 @@ double ExperimentResult::read_fairness_index() const {
   return obs::jain_index(values);
 }
 
+void apply_initiator_cc(net::Network& network,
+                        const std::vector<int>& initiator_cc,
+                        std::span<const net::NodeId> initiators,
+                        std::span<const net::NodeId> targets) {
+  if (initiator_cc.empty()) return;
+  if (initiator_cc.size() != initiators.size()) {
+    throw std::invalid_argument("initiator_cc needs one entry per initiator");
+  }
+  for (std::size_t i = 0; i < initiators.size(); ++i) {
+    network.host(initiators[i]).set_cc_algorithm(initiator_cc[i]);
+    for (const net::NodeId t : targets) {
+      network.host(t).set_peer_cc(initiators[i], initiator_cc[i]);
+    }
+  }
+}
+
 ExperimentResult run_experiment(const ExperimentConfig& config) {
   if (!config.trace_for) {
     throw std::invalid_argument("run_experiment: trace_for is required");
@@ -50,23 +66,10 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
       config.link_delay, /*host_shard=*/0,
       /*hub_shard=*/static_cast<std::uint16_t>(config.lanes == 0 ? 0 : 1));
 
-  // Per-initiator congestion control (mixed-CC coexistence). Must happen
-  // before any flow exists: an initiator's choice governs its own uplink
-  // flows and the target-side flows pacing read data back to it.
-  if (!config.initiator_cc.empty()) {
-    if (config.initiator_cc.size() != config.initiator_count) {
-      throw std::invalid_argument(
-          "run_experiment: initiator_cc needs one entry per initiator");
-    }
-    for (std::size_t i = 0; i < config.initiator_count; ++i) {
-      const int algorithm = config.initiator_cc[i];
-      network.host(topo.hosts[i]).set_cc_algorithm(algorithm);
-      for (std::size_t t = 0; t < config.target_count; ++t) {
-        network.host(topo.hosts[config.initiator_count + t])
-            .set_peer_cc(topo.hosts[i], algorithm);
-      }
-    }
-  }
+  const std::span<const net::NodeId> hosts(topo.hosts);
+  apply_initiator_cc(network, config.initiator_cc,
+                     hosts.first(config.initiator_count),
+                     hosts.subspan(config.initiator_count, config.target_count));
 
   fabric::FabricContext context;
 
@@ -179,6 +182,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   result.completed = all_done;
   result.end_time = lanes.now();
   result.events_executed = lanes.executed_events();
+  result.cross_shard_messages = lanes.cross_shard_messages();
 
   result.per_initiator_read_rate.reserve(initiators.size());
   for (const auto& initiator : initiators) {

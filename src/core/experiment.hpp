@@ -8,6 +8,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 
 #include "common/latency.hpp"
 #include "common/stats.hpp"
@@ -117,6 +118,7 @@ struct ExperimentResult {
   std::uint64_t reads_completed = 0;
   std::uint64_t writes_completed = 0;
   std::uint64_t events_executed = 0;  ///< kernel events the run dispatched
+  std::uint64_t cross_shard_messages = 0;  ///< lane-engine cross-shard sends
 
   // Robustness counters (all zero in healthy runs).
   std::uint64_t reads_failed = 0;        ///< retry budget exhausted
@@ -140,5 +142,15 @@ struct ExperimentResult {
 };
 
 ExperimentResult run_experiment(const ExperimentConfig& config);
+
+/// Apply a per-initiator congestion-control override (mixed-CC
+/// coexistence); both runners call it before any flow exists. Initiator
+/// i's choice governs its own uplink flows and the flows every target
+/// paces read data back to it with. Empty `initiator_cc` leaves every host
+/// on net.cc_algorithm; otherwise it needs one entry per initiator.
+void apply_initiator_cc(net::Network& network,
+                        const std::vector<int>& initiator_cc,
+                        std::span<const net::NodeId> initiators,
+                        std::span<const net::NodeId> targets);
 
 }  // namespace src::core

@@ -4,6 +4,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/experiment.hpp"
 #include "obs/fairness.hpp"
 
 namespace src::core {
@@ -68,11 +69,6 @@ PodExperimentResult run_pod_experiment(const PodExperimentConfig& config) {
     throw std::invalid_argument(
         "run_pod_experiment: stripe_width must be in [1, target_count]");
   }
-  if (!config.initiator_cc.empty() &&
-      config.initiator_cc.size() != config.initiator_count) {
-    throw std::invalid_argument(
-        "run_pod_experiment: initiator_cc needs one entry per initiator");
-  }
 
   obs::ObsScope obs_scope(config.observatory);
 
@@ -98,15 +94,8 @@ PodExperimentResult run_pod_experiment(const PodExperimentConfig& config) {
   std::vector<net::NodeId> target_nodes(
       topo.hosts.end() - config.target_count, topo.hosts.end());
 
-  if (!config.initiator_cc.empty()) {
-    for (std::size_t i = 0; i < initiator_nodes.size(); ++i) {
-      const int algorithm = config.initiator_cc[i];
-      network.host(initiator_nodes[i]).set_cc_algorithm(algorithm);
-      for (const net::NodeId t : target_nodes) {
-        network.host(t).set_peer_cc(initiator_nodes[i], algorithm);
-      }
-    }
-  }
+  apply_initiator_cc(network, config.initiator_cc, initiator_nodes,
+                     target_nodes);
 
   // Accumulators. Each slot is written only by handlers of one host, i.e.
   // from exactly one shard; the main thread reads them between slices and

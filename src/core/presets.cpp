@@ -1,7 +1,3 @@
-// TPM training helpers. The experiment presets declared alongside them in
-// presets.hpp are implemented in src/scenario/core_presets.cpp as thin
-// wrappers over ScenarioSpec builders (core cannot depend on the scenario
-// layer); link src_scenario to use them.
 #include "core/presets.hpp"
 
 namespace src::core {

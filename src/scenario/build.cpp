@@ -63,6 +63,32 @@ std::vector<int> make_initiator_cc(const ScenarioSpec& spec) {
   return cc;
 }
 
+/// A pod run as an ExperimentResult: rates are bytes over end_time, as
+/// PodExperimentResult::read_rate() defines them.
+core::ExperimentResult from_pod(const core::PodExperimentResult& pod) {
+  const auto over_run = [&pod](std::uint64_t bytes) {
+    if (pod.end_time <= 0) return common::Rate::zero();
+    return common::Rate::bytes_per_second(static_cast<double>(bytes) * 1e9 /
+                                          static_cast<double>(pod.end_time));
+  };
+  core::ExperimentResult result;
+  std::uint64_t write_bytes = 0;
+  for (const std::uint64_t b : pod.per_target_write_bytes) write_bytes += b;
+  for (const std::uint64_t b : pod.per_initiator_read_bytes) {
+    result.per_initiator_read_rate.push_back(over_run(b));
+  }
+  result.read_rate = pod.read_rate();
+  result.write_rate = over_run(write_bytes);
+  result.total_pauses = pod.total_pauses;
+  result.reads_completed = pod.reads_completed;
+  result.writes_completed = pod.writes_completed;
+  result.events_executed = pod.events_executed;
+  result.cross_shard_messages = pod.cross_shard_messages;
+  result.completed = pod.completed;
+  result.end_time = pod.end_time;
+  return result;
+}
+
 }  // namespace
 
 BuiltScenario build(const ScenarioSpec& spec, const BuildOptions& options) {
@@ -70,7 +96,7 @@ BuiltScenario build(const ScenarioSpec& spec, const BuildOptions& options) {
     throw std::invalid_argument(
         "scenario '" + spec.name +
         "': pod-kind scenarios run on the lane engine — use "
-        "scenario::build_pod / scenario::run_pod");
+        "scenario::build_pod / scenario::run");
   }
   BuiltScenario built;
   core::ExperimentConfig& config = built.config;
@@ -161,6 +187,9 @@ BuiltScenario build(const ScenarioSpec& spec, const BuildOptions& options) {
 }
 
 core::ExperimentResult run(const ScenarioSpec& spec, const BuildOptions& options) {
+  if (spec.topology.kind == "pod") {
+    return from_pod(core::run_pod_experiment(build_pod(spec, options)));
+  }
   const BuiltScenario built = build(spec, options);
   return core::run_experiment(built.config);
 }
@@ -202,11 +231,6 @@ core::PodExperimentConfig build_pod(const ScenarioSpec& spec,
   config.max_time = spec.max_time;
   config.observatory = options.observatory;
   return config;
-}
-
-core::PodExperimentResult run_pod(const ScenarioSpec& spec,
-                                  const BuildOptions& options) {
-  return core::run_pod_experiment(build_pod(spec, options));
 }
 
 }  // namespace src::scenario

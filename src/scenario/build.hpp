@@ -39,8 +39,12 @@ struct BuiltScenario {
 /// on unresolvable names or an SRC run with no TPM.
 BuiltScenario build(const ScenarioSpec& spec, const BuildOptions& options = {});
 
-/// build() + core::run_experiment, keeping the owned TPM alive throughout.
-/// Star-kind specs only; pod-kind specs route through run_pod().
+/// Run a spec of either topology kind. A star runs build() +
+/// core::run_experiment, keeping the owned TPM alive throughout. A pod runs
+/// core::run_pod_experiment(build_pod(spec, options)) and reports it as an
+/// ExperimentResult: read and write rates are bytes over end_time
+/// (per-initiator reads likewise), and there are no SRC adjustments,
+/// timelines or latency samples.
 core::ExperimentResult run(const ScenarioSpec& spec,
                            const BuildOptions& options = {});
 
@@ -50,9 +54,5 @@ core::ExperimentResult run(const ScenarioSpec& spec,
 /// topology kind is not "pod".
 core::PodExperimentConfig build_pod(const ScenarioSpec& spec,
                                     const BuildOptions& options = {});
-
-/// build_pod() + core::run_pod_experiment.
-core::PodExperimentResult run_pod(const ScenarioSpec& spec,
-                                  const BuildOptions& options = {});
 
 }  // namespace src::scenario

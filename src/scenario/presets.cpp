@@ -39,7 +39,7 @@ ScenarioSpec vdi_spec(bool use_src, std::uint64_t seed) {
   // VDI-like read-intensive stream (paper §IV-D): 44 KB reads at 10 us,
   // 23 KB writes at half the byte intensity; bursty MMPP arrivals. The
   // read stream oversubscribes both the SSD and the inbound link while
-  // the write direction stays uncongested (see core/presets.hpp).
+  // the write direction stays uncongested (see presets.hpp).
   WorkloadSpec workload;
   workload.kind = "synthetic";
   workload.synthetic = workload::fujitsu_vdi_like(10000);
@@ -50,7 +50,7 @@ ScenarioSpec vdi_spec(bool use_src, std::uint64_t seed) {
   return spec;
 }
 
-ScenarioSpec intensity_spec(core::Intensity level, bool use_src,
+ScenarioSpec intensity_spec(Intensity level, bool use_src,
                             std::uint64_t seed) {
   ScenarioSpec spec;
   spec.topology.initiators = 1;
@@ -65,10 +65,10 @@ ScenarioSpec intensity_spec(core::Intensity level, bool use_src,
   double write_iat_us = 160.0;
   std::size_t reads = 2500, writes = 800;
   switch (level) {
-    case core::Intensity::kLight:
+    case Intensity::kLight:
       spec.name = "fig10-light";
       break;  // defaults above: below both SSD and link capacity
-    case core::Intensity::kModerate:
+    case Intensity::kModerate:
       spec.name = "fig10-moderate";
       read_size_kb = 32.0;
       read_iat_us = 20.0;
@@ -76,7 +76,7 @@ ScenarioSpec intensity_spec(core::Intensity level, bool use_src,
       reads = 6000;
       writes = 1300;
       break;
-    case core::Intensity::kHeavy:
+    case Intensity::kHeavy:
       spec.name = "fig10-heavy";
       read_size_kb = 44.0;
       read_iat_us = 10.0;
@@ -281,15 +281,15 @@ Registry<ScenarioPreset>& preset_registry() {
                    [] { return vdi_spec(/*use_src=*/true); }});
     r.add("fig10-light",
           {"light workload intensity, DCQCN-SRC (Fig. 10)", [] {
-             return intensity_spec(core::Intensity::kLight, /*use_src=*/true);
+             return intensity_spec(Intensity::kLight, /*use_src=*/true);
            }});
     r.add("fig10-moderate",
           {"moderate workload intensity, DCQCN-SRC (Fig. 10)", [] {
-             return intensity_spec(core::Intensity::kModerate, /*use_src=*/true);
+             return intensity_spec(Intensity::kModerate, /*use_src=*/true);
            }});
     r.add("fig10-heavy",
           {"heavy workload intensity, DCQCN-SRC (Fig. 10)", [] {
-             return intensity_spec(core::Intensity::kHeavy, /*use_src=*/true);
+             return intensity_spec(Intensity::kHeavy, /*use_src=*/true);
            }});
     r.add("table4", {"2:1 in-cast, DCQCN-SRC (Table IV)", [] {
             return incast_spec(/*targets=*/2, /*initiators=*/1, /*use_src=*/true);

@@ -1,8 +1,16 @@
 // The paper's evaluation presets as ScenarioSpecs, plus a registry keyed by
 // figure name so front ends (`srcctl scenarios`, benches, tests) enumerate
 // and dump them uniformly. The spec builders are the single source of truth
-// for the presets' calibration; core::vdi_experiment & friends are thin
-// wrappers over them (see core_presets.cpp).
+// for the presets' calibration; code that wants a runnable config calls
+// scenario::build(vdi_spec(...), options).config.
+//
+// The paper's testbed couples an NS3 Clos fabric (40 Gbps links) with
+// MQSim flash arrays whose absolute speeds we do not know. Our simulated
+// devices are calibrated to the throughput ranges the paper reports
+// (reads ~5-10 Gbps, writes ~1.5-3 Gbps per target) and the link rate is
+// scaled so that the *ratios* that drive the phenomena match the paper:
+// read traffic oversubscribes both the SSD and the inbound link, while
+// the outbound (write) direction stays uncongested. See DESIGN.md.
 #pragma once
 
 #include <cstdint>
@@ -10,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "core/presets.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/spec.hpp"
 
@@ -20,8 +27,11 @@ namespace src::scenario {
 /// targets, VDI-like read-intensive congestion.
 ScenarioSpec vdi_spec(bool use_src, std::uint64_t seed = 99);
 
+/// Workload intensity levels for Fig. 10 (paper §IV-F1).
+enum class Intensity { kLight, kModerate, kHeavy };
+
 /// Fig. 10 workload-intensity points.
-ScenarioSpec intensity_spec(core::Intensity level, bool use_src,
+ScenarioSpec intensity_spec(Intensity level, bool use_src,
                             std::uint64_t seed = 7);
 
 /// Table IV in-cast: `targets`:`initiators` with constant total load.

@@ -4,9 +4,22 @@
 #include <gtest/gtest.h>
 
 #include "core/presets.hpp"
+#include "scenario/build.hpp"
+#include "scenario/presets.hpp"
 
 namespace src::core {
 namespace {
+
+using scenario::incast_spec;
+using scenario::Intensity;
+using scenario::intensity_spec;
+using scenario::vdi_spec;
+
+/// A preset spec as a runnable config; `tpm` supplies the SRC model.
+ExperimentConfig config_of(const scenario::ScenarioSpec& spec,
+                           const Tpm* tpm = nullptr) {
+  return scenario::build(spec, {.tpm = tpm}).config;
+}
 
 // One trained TPM shared by every test in this binary (training costs ~1 s).
 class EndToEndTest : public ::testing::Test {
@@ -36,7 +49,7 @@ TEST_F(EndToEndTest, DcqcnOnlyStarvesWrites) {
   // The paper's motivating pathology: under inbound congestion, DCQCN-only
   // keeps the SSD busy with reads whose data strands in the TXQ, while
   // writes starve at the device.
-  const auto result = run_experiment(vdi_experiment(false, nullptr));
+  const auto result = run_experiment(config_of(vdi_spec(false)));
   EXPECT_GT(result.total_cnps, 0u);  // congestion actually happened
   EXPECT_LT(result.write_rate.as_gbps(), result.read_rate.as_gbps() / 2.0);
 }
@@ -44,8 +57,8 @@ TEST_F(EndToEndTest, DcqcnOnlyStarvesWrites) {
 TEST_F(EndToEndTest, SrcImprovesAggregateThroughput) {
   // The headline Fig. 7 result: DCQCN-SRC preserves aggregate throughput
   // that DCQCN-only sacrifices.
-  const auto baseline = run_experiment(vdi_experiment(false, nullptr));
-  const auto with_src = run_experiment(vdi_experiment(true, tpm_));
+  const auto baseline = run_experiment(config_of(vdi_spec(false)));
+  const auto with_src = run_experiment(config_of(vdi_spec(true), tpm_));
   EXPECT_GT(with_src.aggregate_rate().as_bytes_per_second(),
             1.1 * baseline.aggregate_rate().as_bytes_per_second());
   // The gain comes from writes, not from cheating on reads.
@@ -54,13 +67,13 @@ TEST_F(EndToEndTest, SrcImprovesAggregateThroughput) {
 }
 
 TEST_F(EndToEndTest, SrcControllerActuallyAdjusts) {
-  const auto result = run_experiment(vdi_experiment(true, tpm_));
+  const auto result = run_experiment(config_of(vdi_spec(true), tpm_));
   EXPECT_FALSE(result.adjustments.empty());
 }
 
 TEST_F(EndToEndTest, CongestionSignalsRecorded) {
   // Fig. 8's metric: congestion signals received by targets, binned per ms.
-  const auto result = run_experiment(vdi_experiment(false, nullptr));
+  const auto result = run_experiment(config_of(vdi_spec(false)));
   EXPECT_GT(result.pause_timeline.total(), 0u);
   EXPECT_GT(result.pause_timeline.bin_count(), 10u);
 }
@@ -69,9 +82,9 @@ TEST_F(EndToEndTest, LightWorkloadSeesNoSrcEffect) {
   // Fig. 10-a: when both the network and the SSD are underloaded, SRC and
   // DCQCN-only are indistinguishable.
   const auto baseline =
-      run_experiment(intensity_experiment(Intensity::kLight, false, nullptr));
+      run_experiment(config_of(intensity_spec(Intensity::kLight, false)));
   const auto with_src =
-      run_experiment(intensity_experiment(Intensity::kLight, true, tpm_));
+      run_experiment(config_of(intensity_spec(Intensity::kLight, true), tpm_));
   const double rel =
       std::abs(with_src.aggregate_rate().as_bytes_per_second() -
                baseline.aggregate_rate().as_bytes_per_second()) /
@@ -82,9 +95,9 @@ TEST_F(EndToEndTest, LightWorkloadSeesNoSrcEffect) {
 TEST_F(EndToEndTest, HeavyWorkloadSeesLargeSrcEffect) {
   // Fig. 10-c.
   const auto baseline =
-      run_experiment(intensity_experiment(Intensity::kHeavy, false, nullptr));
+      run_experiment(config_of(intensity_spec(Intensity::kHeavy, false)));
   const auto with_src =
-      run_experiment(intensity_experiment(Intensity::kHeavy, true, tpm_));
+      run_experiment(config_of(intensity_spec(Intensity::kHeavy, true), tpm_));
   EXPECT_GT(with_src.write_rate.as_bytes_per_second(),
             2.0 * baseline.write_rate.as_bytes_per_second());
 }
@@ -94,9 +107,9 @@ TEST_F(EndToEndTest, IncastImprovementFadesWithRatio) {
   // improvement at 4:1 (where per-target load is too light for WRR).
   auto improvement = [&](std::size_t targets, std::size_t initiators) {
     const auto only =
-        run_experiment(incast_experiment(targets, initiators, false, nullptr));
+        run_experiment(config_of(incast_spec(targets, initiators, false)));
     const auto with =
-        run_experiment(incast_experiment(targets, initiators, true, tpm_));
+        run_experiment(config_of(incast_spec(targets, initiators, true), tpm_));
     return (with.aggregate_rate().as_bytes_per_second() -
             only.aggregate_rate().as_bytes_per_second()) /
            only.aggregate_rate().as_bytes_per_second();
@@ -105,8 +118,8 @@ TEST_F(EndToEndTest, IncastImprovementFadesWithRatio) {
 }
 
 TEST_F(EndToEndTest, ExperimentsAreDeterministic) {
-  const auto a = run_experiment(vdi_experiment(false, nullptr));
-  const auto b = run_experiment(vdi_experiment(false, nullptr));
+  const auto a = run_experiment(config_of(vdi_spec(false)));
+  const auto b = run_experiment(config_of(vdi_spec(false)));
   EXPECT_DOUBLE_EQ(a.read_rate.as_bytes_per_second(), b.read_rate.as_bytes_per_second());
   EXPECT_DOUBLE_EQ(a.write_rate.as_bytes_per_second(), b.write_rate.as_bytes_per_second());
   EXPECT_EQ(a.total_cnps, b.total_cnps);
@@ -118,7 +131,7 @@ TEST_F(EndToEndTest, SrcDoesNotRegressWriteHeavyWorkloads) {
   // fact helps slightly: the separate read queue shields reads from the
   // write flood; see bench/analysis_cbs.)
   auto configure = [&](bool use_src) {
-    auto config = vdi_experiment(use_src, use_src ? tpm_ : nullptr);
+    auto config = config_of(vdi_spec(use_src), use_src ? tpm_ : nullptr);
     config.max_time = 100 * common::kMillisecond;
     config.trace_for = [](std::size_t index) {
       workload::SyntheticParams params = workload::tencent_cbs_like(4000);
@@ -138,16 +151,21 @@ TEST_F(EndToEndTest, SrcDoesNotRegressWriteHeavyWorkloads) {
 TEST_F(EndToEndTest, SrcThroughputGainIsNotPaidInReadLatency) {
   // analysis_latency's finding, pinned: under the VDI experiment SRC must
   // not inflate read latency materially while it slashes write latency.
-  const auto baseline = run_experiment(vdi_experiment(false, nullptr));
-  const auto with_src = run_experiment(vdi_experiment(true, tpm_));
+  const auto baseline = run_experiment(config_of(vdi_spec(false)));
+  const auto with_src = run_experiment(config_of(vdi_spec(true), tpm_));
   EXPECT_LT(with_src.read_latency.p50_us(), 1.3 * baseline.read_latency.p50_us());
   EXPECT_LT(with_src.write_latency.p50_us(), 0.7 * baseline.write_latency.p50_us());
 }
 
 TEST_F(EndToEndTest, SrcModeRequiresFittedTpm) {
-  EXPECT_THROW(run_experiment(vdi_experiment(true, nullptr)), std::invalid_argument);
+  // scenario::build refuses a missing TPM itself; build with one and take
+  // it away, so the check under test is run_experiment's.
+  ExperimentConfig missing = config_of(vdi_spec(true), tpm_);
+  missing.tpm = nullptr;
+  EXPECT_THROW(run_experiment(missing), std::invalid_argument);
   Tpm unfitted;
-  EXPECT_THROW(run_experiment(vdi_experiment(true, &unfitted)), std::invalid_argument);
+  EXPECT_THROW(run_experiment(config_of(vdi_spec(true), &unfitted)),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 #include "fabric/target.hpp"
 #include "net/topology.hpp"
 #include "nvme/fifo_driver.hpp"
+#include "scenario/build.hpp"
+#include "scenario/presets.hpp"
 #include "workload/micro.hpp"
 
 namespace src {
@@ -124,7 +126,7 @@ TEST(FailureInjectionTest, SrcControlLoopSurvivesDeviceDegradation) {
   // weights and the experiment must complete.
   const core::Tpm tpm = core::train_default_tpm(ssd::ssd_a(), 21);
 
-  auto config = core::vdi_experiment(true, &tpm);
+  auto config = scenario::build(scenario::vdi_spec(true), {.tpm = &tpm}).config;
   config.max_time = 80 * common::kMillisecond;
   const auto result = core::run_experiment(config);
   EXPECT_FALSE(result.adjustments.empty());

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "core/presets.hpp"
+#include "scenario/build.hpp"
+#include "scenario/presets.hpp"
 
 namespace src::core {
 namespace {
@@ -22,19 +24,24 @@ std::string preset_name(const ::testing::TestParamInfo<Preset>& info) {
   return "?";
 }
 
-ExperimentConfig build(Preset preset, bool use_src, const Tpm* tpm) {
+scenario::ScenarioSpec spec_of(Preset preset, bool use_src) {
+  using scenario::Intensity;
   switch (preset) {
-    case Preset::kVdi: return vdi_experiment(use_src, tpm);
+    case Preset::kVdi: return scenario::vdi_spec(use_src);
     case Preset::kLight:
-      return intensity_experiment(Intensity::kLight, use_src, tpm);
+      return scenario::intensity_spec(Intensity::kLight, use_src);
     case Preset::kModerate:
-      return intensity_experiment(Intensity::kModerate, use_src, tpm);
+      return scenario::intensity_spec(Intensity::kModerate, use_src);
     case Preset::kHeavy:
-      return intensity_experiment(Intensity::kHeavy, use_src, tpm);
-    case Preset::kIncast21: return incast_experiment(2, 1, use_src, tpm);
-    case Preset::kIncast42: return incast_experiment(4, 2, use_src, tpm);
+      return scenario::intensity_spec(Intensity::kHeavy, use_src);
+    case Preset::kIncast21: return scenario::incast_spec(2, 1, use_src);
+    case Preset::kIncast42: return scenario::incast_spec(4, 2, use_src);
   }
   throw std::logic_error("unreachable");
+}
+
+ExperimentConfig build(Preset preset, bool use_src, const Tpm* tpm) {
+  return scenario::build(spec_of(preset, use_src), {.tpm = tpm}).config;
 }
 
 class ExperimentPropertyTest : public ::testing::TestWithParam<Preset> {

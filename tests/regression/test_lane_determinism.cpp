@@ -73,7 +73,7 @@ TEST(LaneDeterminism, PodIncastSnapshotIsLaneCountInvariantAndPinned) {
     obs::Observatory observatory;
     scenario::BuildOptions options;
     options.observatory = &observatory;
-    Run run{scenario::run_pod(spec, options), ""};
+    Run run{core::run_pod_experiment(scenario::build_pod(spec, options)), ""};
     run.observed = observatory.metrics_json() + observatory.trace_json();
     return run;
   };

@@ -1,6 +1,7 @@
 // Golden equivalence between the two ways a preset can run: built directly
-// from C++ (core::vdi_experiment & friends) versus serialized to a
-// src-scenario-v1 manifest, re-parsed, and built from the parsed spec. The
+// from its C++ spec builder (scenario::vdi_spec & friends) versus
+// serialized to a src-scenario-v1 manifest, re-parsed, and built from the
+// parsed spec. The
 // comparison is the full experiment snapshot compared as bytes — exact
 // counters, not tolerances — so any field the serializer drops or the
 // parser defaults differently shows up as a metric diff, and the manifest

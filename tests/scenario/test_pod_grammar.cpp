@@ -208,5 +208,31 @@ TEST(PodGrammar, BuildDispatchIsKindChecked) {
   EXPECT_EQ(config.lanes, 1u);  // lanes 0 -> serial lane engine
 }
 
+TEST(ScenarioRun, PodSpecMatchesPodRunner) {
+  // scenario::run is the front door for both topology kinds: a pod spec
+  // reports the pod runner's outcome as an ExperimentResult, unchanged.
+  for (const std::size_t lanes : {1u, 4u}) {
+    ScenarioSpec spec = preset_spec("pod-incast-reduced");
+    spec.lanes = lanes;
+    const core::ExperimentResult via_run = run(spec);
+    const core::PodExperimentResult pod =
+        core::run_pod_experiment(build_pod(spec));
+    SCOPED_TRACE("lanes=" + std::to_string(lanes));
+    EXPECT_EQ(via_run.reads_completed, pod.reads_completed);
+    EXPECT_EQ(via_run.writes_completed, pod.writes_completed);
+    EXPECT_EQ(via_run.total_pauses, pod.total_pauses);
+    EXPECT_EQ(via_run.events_executed, pod.events_executed);
+    EXPECT_EQ(via_run.cross_shard_messages, pod.cross_shard_messages);
+    EXPECT_EQ(via_run.end_time, pod.end_time);
+    EXPECT_EQ(via_run.completed, pod.completed);
+    EXPECT_EQ(via_run.read_rate.as_bytes_per_second(),
+              pod.read_rate().as_bytes_per_second());
+    EXPECT_EQ(via_run.per_initiator_read_rate.size(),
+              pod.per_initiator_read_bytes.size());
+    EXPECT_EQ(via_run.final_weight_ratio(), 1u);
+    EXPECT_GT(via_run.reads_completed, 0u);
+  }
+}
+
 }  // namespace
 }  // namespace src::scenario

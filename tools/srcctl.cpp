@@ -451,62 +451,6 @@ void write_trace(const Args& args, const obs::Observatory& observatory) {
               out.c_str());
 }
 
-/// Pod-kind arm of `srcctl run`: pod manifests execute on the sharded lane
-/// engine via scenario::run_pod and report pod metrics (striped read/write
-/// chunks, cross-shard messages) instead of the star experiment's weight
-/// trajectory. --metrics-out writes an "src-pod-run-v1" report.
-int run_pod_scenario(const scenario::ScenarioSpec& spec, const Args& args,
-                     obs::Observatory& observatory) {
-  scenario::BuildOptions options;
-  options.observatory = &observatory;
-  const core::PodExperimentResult result = scenario::run_pod(spec, options);
-
-  const scenario::PodSpec& pod = spec.topology.pod;
-  std::printf("%s: pod grammar %zux%zux%zu (oversub %.1f, partition %s), "
-              "%zu lane(s)\n",
-              spec.name.c_str(), pod.pods, pod.racks_per_pod,
-              pod.hosts_per_rack, pod.oversubscription, pod.partition.c_str(),
-              spec.lanes == 0 ? std::size_t{1} : spec.lanes);
-  std::printf("  read %.2f Gbps, %llu read + %llu write chunks, %llu pauses, "
-              "Jain index %.4f%s\n",
-              result.read_rate().as_gbps(),
-              static_cast<unsigned long long>(result.reads_completed),
-              static_cast<unsigned long long>(result.writes_completed),
-              static_cast<unsigned long long>(result.total_pauses),
-              result.read_fairness_index(),
-              result.completed ? "" : " (hit max_time cap)");
-  std::printf("  %llu events executed, %llu cross-shard messages, "
-              "end %.1f ms\n",
-              static_cast<unsigned long long>(result.events_executed),
-              static_cast<unsigned long long>(result.cross_shard_messages),
-              common::to_milliseconds(result.end_time));
-
-  write_trace(args, observatory);
-  if (args.has("metrics-out")) {
-    obs::Json report{obs::Json::Object{}};
-    report.set("schema", obs::Json{"src-pod-run-v1"});
-    report.set("scenario", obs::Json{spec.name});
-    report.set("read_gbps", obs::Json{result.read_rate().as_gbps()});
-    report.set("read_jain_index", obs::Json{result.read_fairness_index()});
-    report.set("reads_completed", obs::Json{result.reads_completed});
-    report.set("writes_completed", obs::Json{result.writes_completed});
-    report.set("total_pauses", obs::Json{result.total_pauses});
-    report.set("events_executed", obs::Json{result.events_executed});
-    report.set("cross_shard_messages", obs::Json{result.cross_shard_messages});
-    report.set("completed", obs::Json{result.completed});
-    obs::Json per_initiator{obs::Json::Array{}};
-    for (const std::uint64_t bytes : result.per_initiator_read_bytes) {
-      per_initiator.push_back(obs::Json{bytes});
-    }
-    report.set("per_initiator_read_bytes", std::move(per_initiator));
-    report.set("metrics", observatory.metrics().snapshot());
-    const std::string path = args.text("metrics-out");
-    write_text_file(path, report.dump(2));
-    std::printf("metrics written to %s\n", path.c_str());
-  }
-  return 0;
-}
-
 /// Robustness counters: all zero on a healthy run, so the line is printed
 /// only when the fault/retry machinery actually did something.
 void print_robustness(const std::string& name, const core::ExperimentResult& r) {
@@ -575,17 +519,19 @@ int cmd_run(const Args& args) {
   obs_config.tracing = traced;
   obs_config.trace_capacity = args.integer("trace-capacity");
   obs::Observatory observatory(obs_config);
-  if (spec.topology.kind == "pod") {
-    return run_pod_scenario(spec, args, observatory);
-  }
 
   const auto model = resolve_tpm(args, spec);
   scenario::BuildOptions options;
   options.tpm = model.get();
   options.observatory = &observatory;
 
-  const scenario::BuiltScenario built = scenario::build(spec, options);
-  const core::ExperimentResult result = core::run_experiment(built.config);
+  // Both topology kinds report one ExperimentResult; a star is built here
+  // so its invariant-checker report outlives the run.
+  const bool pod = spec.topology.kind == "pod";
+  const scenario::BuiltScenario built =
+      pod ? scenario::BuiltScenario{} : scenario::build(spec, options);
+  const core::ExperimentResult result =
+      pod ? scenario::run(spec, options) : core::run_experiment(built.config);
 
   std::printf("%s: read %.2f Gbps, write %.2f Gbps, aggregate %.2f Gbps, "
               "%llu pauses, final w=%u%s\n",
@@ -949,9 +895,8 @@ int cmd_benchdiff(const Args& args) {
   return 0;
 }
 
-/// Validate one `srcctl run --metrics-out` report — "src-run-v1" for star
-/// scenarios, "src-pod-run-v1" for pod-grammar runs on the lane engine.
-/// Returns an empty string when valid, else a message.
+/// Validate one `srcctl run --metrics-out` report ("src-run-v1", for
+/// every topology kind). Returns an empty string when valid, else a message.
 std::string check_run_json(const std::string& path) {
   obs::Json doc;
   const std::string error = load_json_file(path, doc);
@@ -959,26 +904,17 @@ std::string check_run_json(const std::string& path) {
   if (!doc.is_object()) return "top level is not an object";
   const obs::Json* schema = doc.find("schema");
   if (schema == nullptr || !schema->is_string() ||
-      (schema->as_string() != "src-run-v1" &&
-       schema->as_string() != "src-pod-run-v1")) {
-    return "missing or unexpected \"schema\" (want \"src-run-v1\" or "
-           "\"src-pod-run-v1\")";
+      schema->as_string() != "src-run-v1") {
+    return "unexpected schema " + (schema ? schema->dump() : "(none)") +
+           " (want \"src-run-v1\")";
   }
-  const bool pod_report = schema->as_string() == "src-pod-run-v1";
   const obs::Json* name = doc.find("scenario");
   if (name == nullptr || !name->is_string() || name->as_string().empty()) {
     return "missing \"scenario\" name";
   }
-  const std::vector<const char*> numeric_keys =
-      pod_report
-          ? std::vector<const char*>{"read_gbps", "total_pauses",
-                                     "reads_completed", "writes_completed",
-                                     "events_executed", "cross_shard_messages"}
-          : std::vector<const char*>{"read_gbps", "write_gbps",
-                                     "aggregate_gbps", "total_pauses",
-                                     "reads_completed", "writes_completed",
-                                     "final_weight_ratio"};
-  for (const char* key : numeric_keys) {
+  for (const char* key : {"read_gbps", "write_gbps", "aggregate_gbps",
+                          "total_pauses", "reads_completed",
+                          "writes_completed", "final_weight_ratio"}) {
     const obs::Json* value = doc.find(key);
     if (value == nullptr || !value->is_number() || value->as_number() < 0.0) {
       return std::string("missing or negative \"") + key + "\"";
@@ -993,11 +929,7 @@ std::string check_run_json(const std::string& path) {
       jain->as_number() > 1.0) {
     return "missing \"read_jain_index\" or outside [0, 1]";
   }
-  const std::vector<const char*> array_keys =
-      pod_report
-          ? std::vector<const char*>{"per_initiator_read_bytes"}
-          : std::vector<const char*>{"per_initiator_read_gbps", "read_shares"};
-  for (const char* key : array_keys) {
+  for (const char* key : {"per_initiator_read_gbps", "read_shares"}) {
     const obs::Json* list = doc.find(key);
     if (list == nullptr || !list->is_array()) {
       return std::string("missing \"") + key + "\" array";
@@ -1235,7 +1167,7 @@ const Command kCommands[] = {
      cmd_sweep},
     {"run", "run a scenario manifest (src-scenario-v1 JSON)",
      {{"model", kInput, "", "pre-fitted TPM; overrides the manifest's src.tpm source"},
-      {"metrics-out", kOutput, "", "write a src-run-v1 report (src-pod-run-v1 for pods)"},
+      {"metrics-out", kOutput, "", "write a src-run-v1 report"},
       {"trace-out", kOutput, "", "record a Chrome trace_event JSON"},
       {"trace-capacity", integer(1), "65536", "trace ring-buffer size, events"},
       {"lanes", integer(), "", "override the manifest's lane count"},
@@ -1243,6 +1175,9 @@ const Command kCommands[] = {
       {"lenient", kSwitch, "", "exit 0 instead of 3 on a health failure"}},
      {{"scenario.json", kInput, 1, 1, "the manifest to run"}},
      cmd_run,
+     "Star and pod manifests print the same summary and write the same\n"
+     "src-run-v1 report; a pod's rates are bytes over its end time and its\n"
+     "final w is always 1.\n"
      "Lanes: a star runs as one shard at 0 and as hosts | hub shards at\n"
      "N >= 1, run by N worker threads with identical results at every N; a\n"
      "pod runs its partition's shards on N threads. Metrics and traces do\n"
@@ -1313,7 +1248,7 @@ const Command kCommands[] = {
      {{"OLD.json", kInput, 1, 1, "baseline measurement"},
       {"NEW.json", kInput, 1, 1, "new measurement"}},
      cmd_benchdiff},
-    {"metricscheck", "validate srcctl run reports (src-run-v1 / src-pod-run-v1)",
+    {"metricscheck", "validate srcctl run reports (src-run-v1)",
      {},
      {{"report.json", kInput, 1, kMany, "a `srcctl run --metrics-out` report"}},
      cmd_metricscheck},
