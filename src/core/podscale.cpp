@@ -111,7 +111,7 @@ PodExperimentResult run_pod_experiment(const PodExperimentConfig& config) {
     net::Host& target = network.host(target_nodes[t]);
     target.set_message_handler(
         [reply_host = &target, wb = &write_bytes[t], wr = &writes_received[t]](
-            net::NodeId src, std::uint64_t, std::uint64_t bytes,
+            net::NodeId src, const net::MessageHeader&, std::uint64_t bytes,
             std::uint32_t tag) {
           if ((tag & kReadTagBit) != 0) {
             reply_host->send_message(src, tag & ~kReadTagBit, kReadReplyTag);
@@ -129,8 +129,8 @@ PodExperimentResult run_pod_experiment(const PodExperimentConfig& config) {
           if (tag == kReadReplyTag) *rb += bytes;
         });
     initiator.set_message_handler(
-        [rr = &read_replies[i]](net::NodeId, std::uint64_t, std::uint64_t,
-                                std::uint32_t tag) {
+        [rr = &read_replies[i]](net::NodeId, const net::MessageHeader&,
+                                std::uint64_t, std::uint32_t tag) {
           if (tag == kReadReplyTag) ++*rr;
         });
   }

@@ -57,10 +57,12 @@ std::uint32_t Host::flow_index_to(NodeId dst, std::uint32_t channel) {
 }
 
 std::uint64_t Host::send_message(NodeId dst, std::uint64_t bytes, std::uint32_t tag,
-                                 std::uint32_t channel) {
+                                 std::uint32_t channel, MessageHeader header) {
   const std::uint32_t index = flow_index_to(dst, channel);
+  // No packet carries the message id, but it is still minted: flow ids
+  // come from the same counter and ECMP hashes them.
   const std::uint64_t message_id = ++next_id_;
-  flows_[index].messages.push_back(Message{message_id, bytes, tag});
+  flows_[index].messages.push_back(Message{bytes, tag, header});
   flow_queued_bytes_[index] += bytes;
   ++flow_msg_count_[index];
   ++stats_.messages_sent;
@@ -99,10 +101,9 @@ void Host::pump() {
 
     Packet packet;
     packet.kind = PacketKind::kData;
-    packet.src = id();
     packet.dst = flow.dst;
     packet.flow_id = flow.id;
-    packet.message_id = message.id;
+    packet.header = message.header;
     packet.bytes = chunk;
     packet.tag = message.tag;
     // Delay-based CC: stamp the send time and ask the receiver for a
@@ -178,39 +179,38 @@ void Host::receive(Packet packet, std::int32_t /*ingress_port*/) {
   }
 
   stats_.bytes_received += packet.bytes;
+  RxFlow& rx = rx_flows_[packet.flow_id];
   if (packet.ecn_marked) {
     ++stats_.ecn_marked_received;
     SRC_OBS_COUNT("net.ecn_marked_received");
-    send_cnp(packet);
+    send_cnp(packet, rx.last_cnp);
   }
   if (packet.wants_delay_ack) send_delay_ack(packet);
-  if (on_data_) on_data_(packet.src, packet.bytes, packet.tag);
+  rx.message_bytes += packet.bytes;
+  const std::uint64_t message_bytes = rx.message_bytes;
+  if (packet.last_of_message) rx.message_bytes = 0;
 
-  std::uint64_t& accumulated = rx_message_bytes_[packet.message_id];
-  accumulated += packet.bytes;
+  const NodeId src = sender_of(packet.flow_id);
+  if (on_data_) on_data_(src, packet.bytes, packet.tag);
   if (packet.last_of_message) {
-    const std::uint64_t total = accumulated;
-    rx_message_bytes_.erase(packet.message_id);
     ++stats_.messages_received;
-    if (on_message_) on_message_(packet.src, packet.message_id, total, packet.tag);
+    if (on_message_) on_message_(src, packet.header, message_bytes, packet.tag);
   }
 }
 
-void Host::send_cnp(const Packet& data) {
+void Host::send_cnp(const Packet& data, SimTime& last_cnp) {
   // DCQCN NICs pace CNPs to one per interval per flow; DCTCP and Cubic
   // senders request a per-mark echo (the per-packet ECN-echo of an ACK
   // stream), carried as a flag on each data packet so mixed-CC receivers
   // apply the right policy per flow.
   if (!data.echo_per_mark) {
-    SimTime& last = last_cnp_[data.flow_id];
-    if (last != 0 && sim_.now() - last < config_.dcqcn.cnp_interval) return;
-    last = sim_.now();
+    if (last_cnp != 0 && sim_.now() - last_cnp < config_.dcqcn.cnp_interval) return;
+    last_cnp = sim_.now();
   }
 
   Packet cnp;
   cnp.kind = PacketKind::kCnp;
-  cnp.src = id();
-  cnp.dst = data.src;
+  cnp.dst = sender_of(data.flow_id);
   cnp.flow_id = data.flow_id;
   cnp.bytes = 0;
   ++stats_.cnps_sent;
@@ -220,8 +220,7 @@ void Host::send_cnp(const Packet& data) {
 void Host::send_delay_ack(const Packet& data) {
   Packet ack;
   ack.kind = PacketKind::kDelayAck;
-  ack.src = id();
-  ack.dst = data.src;
+  ack.dst = sender_of(data.flow_id);
   ack.flow_id = data.flow_id;
   ack.bytes = 0;
   ack.sent_at = data.sent_at;  // echoed so the sender computes now - sent_at

@@ -3,8 +3,10 @@
 // DCQCN controller; the uplink serializes packets at line rate and obeys
 // PFC pause frames from the ToR. As a receiver, the host reflects ECN
 // marks back to senders as CNPs (at most one per CNP interval per flow)
-// and reassembles messages (fragments of a message travel one path in
-// FIFO order, so the last fragment completes the message).
+// and reassembles messages: a flow sends its messages one after another
+// and its fragments travel one path in FIFO order, so one running byte
+// count per incoming flow, reset by each message's last fragment, is the
+// whole reassembly state.
 //
 // The per-flow send queues model the RDMA transmit queue (TXQ) the paper
 // describes: when DCQCN throttles a flow, its messages back up here.
@@ -49,9 +51,11 @@ struct HostStats {
 
 class Host final : public Node {
  public:
-  /// Message fully received: source, id, total payload bytes, app tag.
-  using MessageHandler = std::function<void(NodeId src, std::uint64_t message_id,
-                                            std::uint64_t bytes, std::uint32_t tag)>;
+  /// Message fully received: source, the sender's header, total payload
+  /// bytes, app tag.
+  using MessageHandler =
+      std::function<void(NodeId src, const MessageHeader& header,
+                         std::uint64_t bytes, std::uint32_t tag)>;
   /// Payload bytes received (per packet, with the message's app tag) — for
   /// throughput timelines.
   using DataHandler =
@@ -61,20 +65,18 @@ class Host final : public Node {
   /// DCQCN changed the send rate of the flow to `dst`.
   using RateChangeHandler = std::function<void(NodeId dst, Rate rate, bool decrease)>;
 
-  /// Flow and message ids are minted per host, (id + 1) << 40 | local
-  /// count: unique network-wide without any shared counter.
+  /// Flow and message ids are minted per host (see `id_base`).
   Host(sim::Simulator& sim, NodeId id, std::string name, NetConfig config)
-      : Node(sim, id, std::move(name)),
-        config_(config),
-        next_id_((static_cast<std::uint64_t>(id) + 1) << 40) {}
+      : Node(sim, id, std::move(name)), config_(config), next_id_(id_base(id)) {}
 
   /// Queue a message of `bytes` payload to `dst`. Returns the message id.
   /// `channel` selects an independent flow (its own DCQCN state and send
   /// queue) to the same destination — NVMe-oF keeps command capsules and
   /// bulk data on separate queue pairs so small capsules are not stuck
-  /// behind throttled payload traffic.
+  /// behind throttled payload traffic. `header` rides every fragment and
+  /// reaches the receiver's message handler.
   std::uint64_t send_message(NodeId dst, std::uint64_t bytes, std::uint32_t tag = 0,
-                             std::uint32_t channel = 0);
+                             std::uint32_t channel = 0, MessageHeader header = {});
 
   void receive(Packet packet, std::int32_t ingress_port) override;
 
@@ -113,9 +115,9 @@ class Host final : public Node {
 
  private:
   struct Message {
-    std::uint64_t id;
     std::uint64_t remaining;
     std::uint32_t tag;
+    MessageHeader header;
   };
 
   /// Cold per-flow state (identity, queued messages, controller). The hot
@@ -135,11 +137,17 @@ class Host final : public Node {
   static std::uint64_t flow_key(NodeId dst, std::uint32_t channel) {
     return (static_cast<std::uint64_t>(channel) << 32) | dst;
   }
-  void send_cnp(const Packet& data);
+  /// Receiver state of one incoming flow.
+  struct RxFlow {
+    std::uint64_t message_bytes = 0;  ///< of the message being reassembled
+    SimTime last_cnp = 0;             ///< DCQCN CNP pacing
+  };
+
+  void send_cnp(const Packet& data, SimTime& last_cnp);
   void send_delay_ack(const Packet& data);
 
   NetConfig config_;
-  std::uint64_t next_id_;  ///< last id minted
+  std::uint64_t next_id_;  ///< last flow or message id minted
   std::vector<std::pair<NodeId, int>> peer_cc_;  ///< sorted by NodeId
 
   // Flow arena (creation order, never erased) + per-packet demux indices.
@@ -156,8 +164,7 @@ class Host final : public Node {
   sim::EventId wake_event_;
 
   // Receiver state.
-  common::FlatMap64<std::uint64_t> rx_message_bytes_;  ///< key: message_id
-  common::FlatMap64<SimTime> last_cnp_;                ///< key: flow_id
+  common::FlatMap64<RxFlow> rx_flows_;  ///< key: flow_id
 
   HostStats stats_;
   MessageHandler on_message_;

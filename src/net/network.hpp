@@ -7,8 +7,8 @@
 // node on one kernel). Links between shards become lane-boundary mailbox
 // channels (Port::set_lane_channel) and finalize() hands the minimum
 // cross-shard propagation delay to the group as its conservative
-// lookahead. Each host mints its own flow/message ids, (node id + 1) << 40
-// | local count: globally unique without cross-shard mutable state.
+// lookahead. Each host mints its own flow/message ids (`id_base` in
+// net/packet.hpp): globally unique without cross-shard mutable state.
 #pragma once
 
 #include <memory>

@@ -80,7 +80,6 @@ void Switch::check_pause(std::size_t ingress) {
                     static_cast<double>(ingress_bytes_[ingress]));
     Packet pause;
     pause.kind = PacketKind::kPause;
-    pause.src = id();
     pause.bytes = 0;
     upstream.send_control(pause);
   } else if (pause_sent_[ingress] && ingress_bytes_[ingress] < config_.pfc.xon_bytes) {
@@ -92,7 +91,6 @@ void Switch::check_pause(std::size_t ingress) {
                     static_cast<double>(ingress_bytes_[ingress]));
     Packet resume;
     resume.kind = PacketKind::kResume;
-    resume.src = id();
     resume.bytes = 0;
     upstream.send_control(resume);
   }

@@ -131,14 +131,11 @@ TEST(DctcpTest, EchoesEveryMarkWithoutPacing) {
 
   Packet marked;
   marked.kind = PacketKind::kData;
-  marked.src = a;
   marked.dst = b;
-  marked.flow_id = 1;
-  marked.message_id = 1;
+  marked.flow_id = id_base(a) + 1;  // a's first flow
   marked.bytes = 1024;
   marked.ecn_marked = true;
   net.host(b).receive(marked, 0);
-  marked.message_id = 2;
   net.host(b).receive(marked, 0);
   EXPECT_EQ(net.host(b).stats().cnps_sent, 2u);
 }

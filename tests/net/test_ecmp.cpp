@@ -64,7 +64,7 @@ TEST(EcmpTest, MessagesDeliveredInOrderPerChannel) {
   DiamondRig rig;
   std::vector<std::uint64_t> sizes;
   rig.net.host(rig.b).set_message_handler(
-      [&](NodeId, std::uint64_t, std::uint64_t bytes, std::uint32_t) {
+      [&](NodeId, const MessageHeader&, std::uint64_t bytes, std::uint32_t) {
         sizes.push_back(bytes);
       });
   for (std::uint64_t i = 1; i <= 20; ++i) {

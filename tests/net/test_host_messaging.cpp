@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "net/network.hpp"
 
 namespace src::net {
@@ -40,7 +43,7 @@ TEST(HostMessagingTest, TagsArePreserved) {
   Rig rig;
   std::uint32_t seen_tag = 0;
   rig.net.host(rig.b).set_message_handler(
-      [&](NodeId, std::uint64_t, std::uint64_t, std::uint32_t tag) { seen_tag = tag; });
+      [&](NodeId, const MessageHeader&, std::uint64_t, std::uint32_t tag) { seen_tag = tag; });
   rig.net.host(rig.a).send_message(rig.b, 100, /*tag=*/42);
   rig.sim.run();
   EXPECT_EQ(seen_tag, 42u);
@@ -50,7 +53,7 @@ TEST(HostMessagingTest, InterleavedMessagesReassembleIndependently) {
   Rig rig;
   std::vector<std::uint64_t> sizes;
   rig.net.host(rig.b).set_message_handler(
-      [&](NodeId, std::uint64_t, std::uint64_t bytes, std::uint32_t) {
+      [&](NodeId, const MessageHeader&, std::uint64_t bytes, std::uint32_t) {
         sizes.push_back(bytes);
       });
   rig.net.host(rig.a).send_message(rig.b, 5000, 1);
@@ -66,7 +69,7 @@ TEST(HostMessagingTest, ChannelsAreIndependentFlows) {
   // full message length: round-robin interleaves the flows.
   common::SimTime capsule_at = -1, bulk_at = -1;
   rig.net.host(rig.b).set_message_handler(
-      [&](NodeId, std::uint64_t, std::uint64_t bytes, std::uint32_t) {
+      [&](NodeId, const MessageHeader&, std::uint64_t bytes, std::uint32_t) {
         if (bytes == 64) capsule_at = rig.sim.now();
         else bulk_at = rig.sim.now();
       });
@@ -82,7 +85,7 @@ TEST(HostMessagingTest, SameChannelIsFifo) {
   Rig rig;
   std::vector<std::uint64_t> order;
   rig.net.host(rig.b).set_message_handler(
-      [&](NodeId, std::uint64_t, std::uint64_t bytes, std::uint32_t) {
+      [&](NodeId, const MessageHeader&, std::uint64_t bytes, std::uint32_t) {
         order.push_back(bytes);
       });
   rig.net.host(rig.a).send_message(rig.b, 50'000, 0, 0);
@@ -109,6 +112,78 @@ TEST(HostMessagingTest, StatsCount) {
   EXPECT_EQ(rig.net.host(rig.a).stats().bytes_sent, 5000u);
   EXPECT_EQ(rig.net.host(rig.b).stats().messages_received, 1u);
   EXPECT_EQ(rig.net.host(rig.b).stats().bytes_received, 5000u);
+}
+
+TEST(HostMessagingTest, HeaderAndSenderSurviveFragmentationAndShards) {
+  // Senders on shard 0, switch and receiver on shard 1: every packet
+  // crosses a lane boundary. Packets carry no source field, so the
+  // receiver learns each sender from the flow id alone, and routes its
+  // CNPs (every queued packet is ECN-marked) and Swift delay acks back by
+  // it.
+  sim::LaneGroup lanes(2, 2);
+  NetConfig config;
+  config.ecn.kmin_bytes = 0;
+  config.ecn.kmax_bytes = 0;
+  Network net(lanes, config);
+  const NodeId swift = net.add_host("swift", 0);
+  const NodeId dcqcn = net.add_host("dcqcn", 0);
+  const NodeId sink = net.add_host("sink", 1);
+  const NodeId s = net.add_switch("s", 1);
+  net.connect(swift, s, Rate::gbps(10.0), common::kMicrosecond);
+  net.connect(dcqcn, s, Rate::gbps(10.0), common::kMicrosecond);
+  net.connect(sink, s, Rate::gbps(10.0), common::kMicrosecond);
+  net.finalize();
+  net.host(swift).set_cc_algorithm(static_cast<int>(CcAlgorithm::kSwift));
+
+  struct Delivery {
+    NodeId src;
+    MessageHeader header;
+    std::uint64_t bytes;
+    std::uint32_t tag;
+  };
+  std::vector<Delivery> delivered;
+  std::uint64_t data_from_swift = 0, data_from_dcqcn = 0, data_from_other = 0;
+  net.host(sink).set_message_handler([&](NodeId src, const MessageHeader& header,
+                                         std::uint64_t bytes, std::uint32_t tag) {
+    delivered.push_back({src, header, bytes, tag});
+  });
+  net.host(sink).set_data_handler([&](NodeId src, std::uint32_t bytes, std::uint32_t) {
+    (src == swift ? data_from_swift : src == dcqcn ? data_from_dcqcn : data_from_other) +=
+        bytes;
+  });
+
+  const std::uint64_t big = 40 * config.mtu_bytes + 123;  // 41 fragments
+  net.host(swift).send_message(sink, big, 7, 0,
+                               {.word = 0x1122334455667788, .key = 0xAABBCCDD, .length = 42});
+  net.host(dcqcn).send_message(sink, big, 9, 0, {.word = 5, .key = 6, .length = 7});
+  lanes.run_until(10 * common::kMillisecond);
+
+  ASSERT_EQ(delivered.size(), 2u);
+  std::sort(delivered.begin(), delivered.end(),
+            [](const Delivery& x, const Delivery& y) { return x.tag < y.tag; });
+  EXPECT_EQ(delivered[0].src, swift);
+  EXPECT_EQ(delivered[0].bytes, big);
+  EXPECT_EQ(delivered[0].header.word, 0x1122334455667788u);
+  EXPECT_EQ(delivered[0].header.key, 0xAABBCCDDu);
+  EXPECT_EQ(delivered[0].header.length, 42u);
+  EXPECT_EQ(delivered[1].src, dcqcn);
+  EXPECT_EQ(delivered[1].bytes, big);
+  EXPECT_EQ(delivered[1].header.word, 5u);
+  EXPECT_EQ(delivered[1].header.key, 6u);
+  EXPECT_EQ(delivered[1].header.length, 7u);
+  EXPECT_EQ(data_from_swift, big);
+  EXPECT_EQ(data_from_dcqcn, big);
+  EXPECT_EQ(data_from_other, 0u);
+
+  const HostStats& rx = net.host(sink).stats();
+  EXPECT_GT(rx.cnps_sent, 0u);
+  EXPECT_GT(net.host(dcqcn).stats().cnps_received, 0u);
+  EXPECT_EQ(net.host(swift).stats().cnps_received +
+                net.host(dcqcn).stats().cnps_received,
+            rx.cnps_sent);
+  EXPECT_GT(rx.delay_acks_sent, 0u);
+  EXPECT_EQ(net.host(swift).stats().delay_acks_received, rx.delay_acks_sent);
+  EXPECT_EQ(net.host(dcqcn).stats().delay_acks_received, 0u);
 }
 
 TEST(HostMessagingTest, FlowRateDefaultsToLineRate) {

@@ -34,7 +34,7 @@ TEST(PortSwitchTest, MessageDeliveredThroughSwitch) {
   Rig rig;
   std::uint64_t delivered_bytes = 0;
   rig.net.host(rig.b).set_message_handler(
-      [&](NodeId src, std::uint64_t, std::uint64_t bytes, std::uint32_t) {
+      [&](NodeId src, const MessageHeader&, std::uint64_t bytes, std::uint32_t) {
         EXPECT_EQ(src, rig.a);
         delivered_bytes = bytes;
       });
@@ -61,7 +61,7 @@ TEST(PortSwitchTest, DeliveryLatencyIncludesSerializationAndPropagation) {
   Rig rig;
   common::SimTime delivered_at = -1;
   rig.net.host(rig.b).set_message_handler(
-      [&](NodeId, std::uint64_t, std::uint64_t, std::uint32_t) {
+      [&](NodeId, const MessageHeader&, std::uint64_t, std::uint32_t) {
         delivered_at = rig.sim.now();
       });
   rig.net.host(rig.a).send_message(rig.b, 1000);
@@ -146,8 +146,8 @@ TEST(PortSwitchTest, PausedEgressBacklogGrowsRingAndDrainsInOrder) {
 
   std::vector<std::uint64_t> arrival_order;
   net.host(b).set_message_handler(
-      [&](NodeId, std::uint64_t id, std::uint64_t, std::uint32_t) {
-        arrival_order.push_back(id);
+      [&](NodeId, const MessageHeader& header, std::uint64_t, std::uint32_t) {
+        arrival_order.push_back(header.word);
       });
 
   // The host uplink is kept shallow by the pacing loop; the deep backlog
@@ -157,7 +157,8 @@ TEST(PortSwitchTest, PausedEgressBacklogGrowsRingAndDrainsInOrder) {
   constexpr int kMessages = 40;  // 40 one-packet messages >> initial ring of 8
   std::vector<std::uint64_t> sent_order;
   for (int i = 0; i < kMessages; ++i) {
-    sent_order.push_back(net.host(a).send_message(b, 1000));
+    sent_order.push_back(static_cast<std::uint64_t>(i));
+    net.host(a).send_message(b, 1000, 0, 0, {.word = sent_order.back()});
   }
   sim.run_until(common::kMillisecond);
   EXPECT_EQ(egress.queue_packets(), static_cast<std::size_t>(kMessages));
@@ -253,9 +254,8 @@ TEST(PortSwitchTest, IngressPortScrubbedWhenPacketLeavesEachSwitch) {
 
   Packet packet;
   packet.kind = PacketKind::kData;
-  packet.src = 0;
   packet.dst = 3;
-  packet.flow_id = 7;
+  packet.flow_id = id_base(0) + 7;
   packet.bytes = 1000;
   // Hold s1's egress so the packet dwells in its buffer: ingress bytes must
   // stay accounted for exactly as long as the packet sits there.
@@ -282,7 +282,7 @@ TEST(PortSwitchTest, UnroutablePacketThrows) {
 
   Packet stray;
   stray.kind = PacketKind::kData;
-  stray.src = a;
+  stray.flow_id = id_base(a) + 1;
   stray.dst = 777;  // no such node
   stray.bytes = 100;
   EXPECT_THROW(net.switch_at(s).receive(stray, 0), std::runtime_error);

@@ -16,7 +16,7 @@ TEST(TopologyTest, StarConnectsAllHosts) {
 
   std::uint64_t delivered = 0;
   net.host(topo.hosts[4]).set_message_handler(
-      [&](NodeId, std::uint64_t, std::uint64_t bytes, std::uint32_t) {
+      [&](NodeId, const MessageHeader&, std::uint64_t bytes, std::uint32_t) {
         delivered += bytes;
       });
   net.host(topo.hosts[0]).send_message(topo.hosts[4], 1234);
@@ -32,7 +32,7 @@ TEST(TopologyTest, DumbbellRoutesAcrossBottleneck) {
                                   common::kMicrosecond);
   std::uint64_t delivered = 0;
   net.host(topo.right_hosts[2]).set_message_handler(
-      [&](NodeId, std::uint64_t, std::uint64_t bytes, std::uint32_t) {
+      [&](NodeId, const MessageHeader&, std::uint64_t bytes, std::uint32_t) {
         delivered += bytes;
       });
   net.host(topo.left_hosts[0]).send_message(topo.right_hosts[2], 9999);
@@ -85,7 +85,7 @@ TEST(TopologyTest, ClosCrossPodDelivery) {
   // First host of pod 0 to last host of pod 1 (cross-pod path via leaves).
   std::uint64_t delivered = 0;
   net.host(topo.hosts.back()).set_message_handler(
-      [&](NodeId, std::uint64_t, std::uint64_t bytes, std::uint32_t) {
+      [&](NodeId, const MessageHeader&, std::uint64_t bytes, std::uint32_t) {
         delivered += bytes;
       });
   net.host(topo.hosts.front()).send_message(topo.hosts.back(), 4096);
@@ -107,7 +107,7 @@ TEST(TopologyTest, ClosAllPairsReachable) {
   int delivered = 0;
   for (const NodeId h : topo.hosts) {
     net.host(h).set_message_handler(
-        [&](NodeId, std::uint64_t, std::uint64_t, std::uint32_t) { ++delivered; });
+        [&](NodeId, const MessageHeader&, std::uint64_t, std::uint32_t) { ++delivered; });
   }
   int sent = 0;
   for (const NodeId from : topo.hosts) {

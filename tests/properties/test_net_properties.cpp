@@ -69,7 +69,7 @@ class NetPropertyTest : public ::testing::TestWithParam<NetCell> {
 
     Run run;
     net.host(sink).set_message_handler(
-        [&](NodeId, std::uint64_t, std::uint64_t, std::uint32_t) {
+        [&](NodeId, const MessageHeader&, std::uint64_t, std::uint32_t) {
           ++run.messages_delivered;
         });
     for (const NodeId s : senders) {
