@@ -42,7 +42,6 @@ Outcome run(bool use_src, const core::Tpm* tpm) {
   params.link_rate = Rate::gbps(4.0);  // scaled as in the presets (DESIGN SS5)
   const auto topo = net::make_clos(network, params);
 
-  fabric::FabricContext context;
   constexpr std::size_t kActiveInitiators = 16;
   constexpr std::size_t kTargetsPerInitiator = 2;
   const std::size_t half = topo.hosts.size() / 2;
@@ -54,7 +53,7 @@ Outcome run(bool use_src, const core::Tpm* tpm) {
 
   for (std::size_t i = 0; i < kActiveInitiators; ++i) {
     initiators.push_back(std::make_unique<fabric::Initiator>(
-        network, topo.hosts[i * 8], context));
+        network, topo.hosts[i * 8]));
   }
   common::ThroughputTimeline write_timeline{common::kMillisecond};
   for (std::size_t t = 0; t < kActiveInitiators * kTargetsPerInitiator; ++t) {
@@ -62,7 +61,7 @@ Outcome run(bool use_src, const core::Tpm* tpm) {
     config.driver_mode = use_src ? fabric::DriverMode::kSsq : fabric::DriverMode::kFifo;
     config.seed = 1 + t;
     targets.push_back(std::make_unique<fabric::Target>(
-        network, topo.hosts[half + t * 4], context, config));
+        network, topo.hosts[half + t * 4], config));
     fabric::Target& target = *targets.back();
     target.set_write_complete_listener(
         [&write_timeline](common::SimTime when, std::uint32_t bytes) {
@@ -74,8 +73,8 @@ Outcome run(bool use_src, const core::Tpm* tpm) {
       core::WorkloadMonitor& monitor = *monitors.back();
       core::SrcController& controller = *controllers.back();
       controller.set_weight_setter([&target](std::uint32_t w) { target.set_weight_ratio(w); });
-      target.set_submit_listener([&monitor, &sim](const fabric::RequestInfo& info) {
-        monitor.observe(sim.now(), info.type, info.lba, info.bytes);
+      target.set_submit_listener([&monitor, &sim](const nvme::IoRequest& request) {
+        monitor.observe(sim.now(), request.type, request.lba, request.bytes);
       });
       target.set_congestion_listener([&controller, &sim](Rate rate, bool decrease) {
         controller.on_congestion_event(sim.now(), rate.as_bytes_per_second(), decrease);

@@ -28,19 +28,18 @@ int main(int argc, char** argv) {
   // First half of the hosts are initiators, second half targets (paper's
   // 128/128 split). To keep this demo quick, only the first 8 initiators
   // actively submit I/O, each to `fan_in` targets in other pods.
-  fabric::FabricContext context;
   std::vector<std::unique_ptr<fabric::Initiator>> initiators;
   std::vector<std::unique_ptr<fabric::Target>> targets;
   const std::size_t half = topo.hosts.size() / 2;
   for (std::size_t i = 0; i < 8; ++i) {
     initiators.push_back(std::make_unique<fabric::Initiator>(
-        network, topo.hosts[i * 16], context));  // spread across ToRs
+        network, topo.hosts[i * 16]));  // spread across ToRs
   }
   for (std::size_t t = 0; t < 8 * fan_in; ++t) {
     fabric::TargetConfig config;
     config.seed = 1 + t;
     targets.push_back(std::make_unique<fabric::Target>(
-        network, topo.hosts[half + t * 3], context, config));
+        network, topo.hosts[half + t * 3], config));
   }
 
   std::printf("Replaying a read-heavy workload from 8 initiators across %zu"

@@ -56,8 +56,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
 
   // One shard plan per lane setting. lanes == 0: one shard, the hub beside
   // the hosts. lanes >= 1: hosts on shard 0, the hub switch on shard 1 —
-  // the only cut the star admits, because the fabric context, monitors and
-  // result sinks are shared by all hosts; LaneGroup clamps lanes to 2.
+  // the only cut the star admits, because the monitors and result sinks
+  // are shared by all hosts; LaneGroup clamps lanes to 2.
   sim::LaneGroup lanes(config.lanes == 0 ? 1 : 2, config.lanes);
   sim::Simulator& sim = lanes.kernel(0);
   net::Network network(lanes, config.net);
@@ -71,12 +71,10 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
                      hosts.first(config.initiator_count),
                      hosts.subspan(config.initiator_count, config.target_count));
 
-  fabric::FabricContext context;
-
   std::vector<std::unique_ptr<fabric::Initiator>> initiators;
   for (std::size_t i = 0; i < config.initiator_count; ++i) {
     initiators.push_back(std::make_unique<fabric::Initiator>(
-        network, topo.hosts[i], context));
+        network, topo.hosts[i]));
     initiators.back()->set_retry_policy(config.retry_policy);
   }
 
@@ -91,8 +89,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
         config.use_src ? fabric::DriverMode::kSsq : fabric::DriverMode::kFifo);
     target_config.device_count = config.devices_per_target;
     target_config.seed = config.seed + 31 * t;
-    targets.push_back(std::make_unique<fabric::Target>(network, node, context,
-                                                       target_config));
+    targets.push_back(std::make_unique<fabric::Target>(network, node, target_config));
   }
 
   ExperimentResult result;
@@ -119,8 +116,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     controller.set_weight_setter(
         [&target](std::uint32_t w) { target.set_weight_ratio(w); });
     target.set_submit_listener(
-        [&monitor, &sim](const fabric::RequestInfo& info) {
-          monitor.observe(sim.now(), info.type, info.lba, info.bytes);
+        [&monitor, &sim](const nvme::IoRequest& request) {
+          monitor.observe(sim.now(), request.type, request.lba, request.bytes);
         });
     const double device_share = 1.0 / static_cast<double>(config.devices_per_target);
     target.set_congestion_listener(

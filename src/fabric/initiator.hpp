@@ -12,14 +12,17 @@
 // backoff, and requests that exhaust their retry budget fail with an
 // explicit error status (they never hang). With the policy disabled (the
 // default) no timers exist and the hot path is untouched.
+//
+// Request state is this initiator's alone: one table from the key its
+// messages carry to the request (see fabric/protocol.hpp).
 #pragma once
 
 #include <deque>
 #include <functional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/flat_map.hpp"
 #include "common/latency.hpp"
 #include "common/stats.hpp"
 #include "fabric/protocol.hpp"
@@ -40,7 +43,7 @@ struct InitiatorStats {
   std::uint64_t retries = 0;            ///< command capsules re-sent
   std::uint32_t max_attempts = 0;       ///< most retransmissions any request saw
   std::uint64_t error_completions = 0;  ///< explicit error capsules received
-  std::uint64_t stale_messages = 0;     ///< deliveries with no live binding
+  std::uint64_t stale_messages = 0;     ///< responses for no live request
   common::SimTime total_read_latency = 0;   ///< issue -> data fully received
   common::SimTime total_write_latency = 0;  ///< issue -> ack received
 
@@ -67,7 +70,7 @@ class Initiator {
   using TargetSelector =
       std::function<net::NodeId(const workload::TraceRecord&, std::size_t index)>;
 
-  Initiator(net::Network& network, net::NodeId host_id, FabricContext& context);
+  Initiator(net::Network& network, net::NodeId host_id);
 
   /// Schedule the whole trace for replay; records are issued at their
   /// arrival times (relative to now). With a max-outstanding limit set,
@@ -81,15 +84,16 @@ class Initiator {
   /// open-loop replay). Real initiators bound their queue depth; the limit
   /// applies to run_trace (direct issue() calls always go out).
   void set_max_outstanding(std::size_t limit) { max_outstanding_ = limit; }
-  std::size_t outstanding() const { return outstanding_; }
+  /// Requests issued and not yet completed or failed.
+  std::size_t outstanding() const { return requests_.size(); }
 
   /// Enable/configure per-request timeout tracking and retransmission.
   /// Must be set before requests are issued.
   void set_retry_policy(RetryPolicy policy) { retry_ = policy; }
   const RetryPolicy& retry_policy() const { return retry_; }
 
-  /// Issue a single request immediately.
-  std::uint64_t issue(common::IoType type, std::uint64_t lba,
+  /// Issue a single request immediately. Returns its key.
+  std::uint32_t issue(common::IoType type, std::uint64_t lba,
                       std::uint32_t bytes, net::NodeId target);
 
   net::NodeId node_id() const { return host_id_; }
@@ -106,39 +110,42 @@ class Initiator {
   }
 
  private:
-  struct Pending {
+  /// One request from issue until it completes or fails.
+  struct Request {
+    common::IoType type = common::IoType::kRead;
+    std::uint64_t lba = 0;
+    std::uint32_t bytes = 0;
+    net::NodeId target = net::kInvalidNode;
+    common::SimTime issue_time = 0;
     std::uint32_t attempts = 0;  ///< retransmissions performed so far
     sim::EventId timer;          ///< timeout or delayed-resend event
   };
 
-  void on_fabric_message(net::NodeId src, std::uint64_t message_id,
-                         std::uint64_t bytes, std::uint32_t tag);
+  void on_fabric_message(const net::MessageHeader& header, std::uint32_t tag);
 
   void issue_or_defer(const workload::TraceRecord& rec, net::NodeId target);
   void drain_deferred();
 
-  /// Transmit (or retransmit) the command capsule for a request and bind
-  /// the new message to it.
-  void send_command(const RequestInfo& info);
-  void arm_timer(std::uint64_t request_id);
-  void on_timeout(std::uint64_t request_id);
+  /// Transmit (or retransmit) the command capsule for a request.
+  void send_command(std::uint32_t key, const Request& request);
+  void arm_timer(std::uint32_t key);
+  void on_timeout(std::uint32_t key);
   /// Retry after `delay` (0 = immediately), or fail if the budget is gone.
-  void attempt_retry(std::uint64_t request_id, common::SimTime delay);
-  void resend(std::uint64_t request_id);
-  void fail_request(std::uint64_t request_id);
-  void finish_request(std::uint64_t request_id);
+  void attempt_retry(std::uint32_t key, common::SimTime delay);
+  void resend(std::uint32_t key);
+  void fail_request(std::uint32_t key);
+  void finish_request(std::uint32_t key);
 
   net::Network& network_;
   net::NodeId host_id_;
   sim::Simulator& sim_;  ///< the host's kernel
-  FabricContext& context_;
   InitiatorStats stats_;
   common::ThroughputTimeline read_timeline_{common::kMillisecond};
   RetryPolicy retry_;
   std::size_t max_outstanding_ = 0;
-  std::size_t outstanding_ = 0;
   std::deque<std::pair<workload::TraceRecord, net::NodeId>> deferred_;
-  std::unordered_map<std::uint64_t, Pending> pending_;  ///< by request id
+  common::FlatMap64<Request> requests_;  ///< live requests, by key
+  std::uint32_t next_key_ = 0;           ///< last key minted
 };
 
 }  // namespace src::fabric

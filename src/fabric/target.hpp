@@ -3,6 +3,10 @@
 // or write acknowledgments. A target may hold several SSD instances (a
 // flash array); requests are striped across devices by LBA hash.
 //
+// A target reads each request from its command capsule and serves every
+// capsule that arrives (see fabric/protocol.hpp); it keeps only the
+// initiator and key of each request it is serving, to address the reply.
+//
 // Congestion-control plumbing: every DCQCN rate change on this host's
 // outgoing (read-data) flows, and every PFC pause frame, is surfaced
 // through callbacks — the hooks the SRC controller attaches to.
@@ -12,6 +16,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/flat_map.hpp"
 #include "common/stats.hpp"
 #include "fabric/protocol.hpp"
 #include "net/network.hpp"
@@ -41,7 +46,6 @@ struct TargetStats {
   std::uint64_t congestion_signals = 0;   ///< CNP-driven rate cuts + pauses
   std::uint64_t errors_returned = 0;      ///< explicit error completions sent
   std::uint64_t rerouted_requests = 0;    ///< re-striped around offline devices
-  std::uint64_t stale_capsules = 0;       ///< capsules whose binding was gone
   std::uint64_t signals_suppressed = 0;   ///< congestion signals lost (fault)
 };
 
@@ -53,13 +57,12 @@ class Target {
   using CongestionListener = std::function<void(common::Rate demanded, bool decrease)>;
   /// A request was submitted to the NVMe layer (the SRC workload monitor
   /// taps this).
-  using SubmitListener = std::function<void(const RequestInfo&)>;
+  using SubmitListener = std::function<void(const nvme::IoRequest&)>;
   /// Write completed on this target's SSD (write throughput is measured at
   /// targets, per the paper's metric).
   using WriteCompleteListener = std::function<void(SimTime when, std::uint32_t bytes)>;
 
-  Target(net::Network& network, net::NodeId host_id, FabricContext& context,
-         TargetConfig config);
+  Target(net::Network& network, net::NodeId host_id, TargetConfig config);
 
   net::NodeId node_id() const { return host_id_; }
   const TargetStats& stats() const { return stats_; }
@@ -98,26 +101,34 @@ class Target {
   const common::EventTimeline& pause_timeline() const { return pause_timeline_; }
 
  private:
-  void on_fabric_message(net::NodeId src, std::uint64_t message_id,
-                         std::uint64_t bytes, std::uint32_t tag);
+  /// Where the reply to a request being served goes.
+  struct ReplyTo {
+    net::NodeId initiator = net::kInvalidNode;
+    std::uint32_t key = 0;  ///< the initiator's request key
+  };
+
+  void on_fabric_message(net::NodeId src, const net::MessageHeader& header,
+                         std::uint32_t tag);
   void on_request_complete(const nvme::IoRequest& request,
                            const ssd::NvmeCompletion& completion);
   /// Stripe by LBA over online devices; npos when the whole array is down.
   std::size_t device_for(std::uint64_t lba);
-  void send_error_completion(const RequestInfo& info);
+  void send_error_completion(ReplyTo reply);
 
   static constexpr std::size_t kNoDevice = static_cast<std::size_t>(-1);
 
   net::Network& network_;
   net::NodeId host_id_;
   sim::Simulator& sim_;  ///< the host's kernel
-  FabricContext& context_;
   TargetConfig config_;
   std::vector<std::unique_ptr<ssd::SsdDevice>> devices_;
   std::vector<std::unique_ptr<nvme::NvmeDriver>> drivers_;
   std::vector<bool> online_;
   bool signal_loss_ = false;
-  // request id is threaded through the NVMe layer in IoRequest::id.
+  /// Requests being served, by the IoRequest::id this target minted (ids
+  /// are unique per target, hence per driver).
+  common::FlatMap64<ReplyTo> serving_;
+  std::uint64_t next_request_id_ = 0;  ///< last IoRequest::id minted
   TargetStats stats_;
   common::EventTimeline pause_timeline_{common::kMillisecond};
   CongestionListener on_congestion_;

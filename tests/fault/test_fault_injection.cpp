@@ -32,14 +32,13 @@ struct Rig {
   sim::Simulator& sim = lanes.kernel(0);
   net::Network network{lanes, net::NetConfig{}};
   net::StarTopology topo;
-  fabric::FabricContext context;
   std::unique_ptr<fabric::Initiator> initiator;
   std::unique_ptr<fabric::Target> target;
 
   explicit Rig(fabric::TargetConfig target_config = {}) {
     topo = net::make_star(network, 2, Rate::gbps(10.0), common::kMicrosecond);
-    initiator = std::make_unique<fabric::Initiator>(network, topo.hosts[0], context);
-    target = std::make_unique<fabric::Target>(network, topo.hosts[1], context,
+    initiator = std::make_unique<fabric::Initiator>(network, topo.hosts[0]);
+    target = std::make_unique<fabric::Target>(network, topo.hosts[1],
                                               std::move(target_config));
   }
 };
@@ -67,8 +66,7 @@ TEST(FaultInjectionTest, TimeoutRetryRecoversFromDropWindow) {
   EXPECT_GT(rig.initiator->stats().retries, 0u);
   EXPECT_GT(injector.stats().packets_dropped, 0u);
   // No bookkeeping leaks once everything reached a terminal state.
-  EXPECT_EQ(rig.context.outstanding_requests(), 0u);
-  EXPECT_EQ(rig.context.outstanding_bindings(), 0u);
+  EXPECT_EQ(rig.initiator->outstanding(), 0u);
 }
 
 TEST(FaultInjectionTest, BudgetExhaustionFailsExplicitly) {
@@ -93,8 +91,7 @@ TEST(FaultInjectionTest, BudgetExhaustionFailsExplicitly) {
   EXPECT_EQ(rig.initiator->stats().reads_completed, 0u);
   EXPECT_EQ(rig.initiator->stats().reads_failed, 5u);
   EXPECT_EQ(rig.initiator->stats().retries, 10u);  // 2 per request
-  EXPECT_EQ(rig.context.outstanding_requests(), 0u);
-  EXPECT_EQ(rig.context.outstanding_bindings(), 0u);
+  EXPECT_EQ(rig.initiator->outstanding(), 0u);
 }
 
 TEST(FaultInjectionTest, LinkDownCoversBothDirections) {
@@ -162,7 +159,7 @@ TEST(FaultInjectionTest, WholeArrayOfflineFailsExplicitlyWithoutRetry) {
   EXPECT_EQ(rig.initiator->stats().reads_failed, 1u);
   EXPECT_EQ(rig.initiator->stats().error_completions, 1u);
   EXPECT_EQ(rig.target->stats().errors_returned, 1u);
-  EXPECT_EQ(rig.context.outstanding_requests(), 0u);
+  EXPECT_EQ(rig.initiator->outstanding(), 0u);
 }
 
 TEST(FaultInjectionTest, WholeArrayOutageRecoversOnceTheWindowCloses) {
@@ -205,8 +202,7 @@ TEST(FaultInjectionTest, WholeArrayOutageRecoversOnceTheWindowCloses) {
   EXPECT_GT(rig.initiator->stats().error_completions, 0u);
   EXPECT_GT(rig.target->stats().errors_returned, 0u);
   EXPECT_EQ(rig.target->online_device_count(), 4u);
-  EXPECT_EQ(rig.context.outstanding_requests(), 0u);
-  EXPECT_EQ(rig.context.outstanding_bindings(), 0u);
+  EXPECT_EQ(rig.initiator->outstanding(), 0u);
 }
 
 TEST(FaultInjectionTest, OutageOverlappingReStripedInFlightWork) {
@@ -246,8 +242,7 @@ TEST(FaultInjectionTest, OutageOverlappingReStripedInFlightWork) {
   EXPECT_GT(rig.target->stats().rerouted_requests, 0u);
   EXPECT_GT(rig.initiator->stats().error_completions, 0u);
   EXPECT_EQ(rig.target->device(1).stats().reads_completed, 0u);
-  EXPECT_EQ(rig.context.outstanding_requests(), 0u);
-  EXPECT_EQ(rig.context.outstanding_bindings(), 0u);
+  EXPECT_EQ(rig.initiator->outstanding(), 0u);
 }
 
 TEST(FaultInjectionTest, TransientErrorsAreRetriedUntilTheWindowCloses) {
@@ -311,8 +306,7 @@ struct ScenarioOutcome {
   std::uint64_t rerouted = 0;
   common::SimTime end_time = 0;
   bool all_complete = false;
-  std::size_t leaked_requests = 0;
-  std::size_t leaked_bindings = 0;
+  std::size_t outstanding = 0;
 
   bool operator==(const ScenarioOutcome&) const = default;
 };
@@ -322,11 +316,10 @@ ScenarioOutcome run_scenario(std::uint64_t seed) {
   sim::Simulator& sim = lanes.kernel(0);
   net::Network network(lanes, net::NetConfig{});
   auto topo = net::make_star(network, 2, Rate::gbps(10.0), common::kMicrosecond);
-  fabric::FabricContext context;
-  fabric::Initiator initiator(network, topo.hosts[0], context);
+  fabric::Initiator initiator(network, topo.hosts[0]);
   fabric::TargetConfig target_config;
   target_config.device_count = 4;
-  fabric::Target target(network, topo.hosts[1], context, target_config);
+  fabric::Target target(network, topo.hosts[1], target_config);
   initiator.set_retry_policy(fast_retry(/*max_retries=*/10));
 
   FaultPlan plan;
@@ -362,8 +355,7 @@ ScenarioOutcome run_scenario(std::uint64_t seed) {
   out.rerouted = target.stats().rerouted_requests;
   out.end_time = sim.now();
   out.all_complete = initiator.all_complete();
-  out.leaked_requests = context.outstanding_requests();
-  out.leaked_bindings = context.outstanding_bindings();
+  out.outstanding = initiator.outstanding();
   return out;
 }
 
@@ -376,8 +368,7 @@ TEST(FaultInjectionTest, AcceptanceScenarioTerminatesAndIsDeterministic) {
   EXPECT_EQ(first.completed + first.failed, 200u);
   EXPECT_GT(first.dropped, 0u);
   EXPECT_GT(first.retries, 0u);
-  EXPECT_EQ(first.leaked_requests, 0u);
-  EXPECT_EQ(first.leaked_bindings, 0u);
+  EXPECT_EQ(first.outstanding, 0u);
 
   // Identical seed => identical retry counts, throughput, end time.
   const ScenarioOutcome second = run_scenario(42);
@@ -406,9 +397,8 @@ CleanOutcome run_clean(bool with_empty_injector) {
   sim::Simulator& sim = lanes.kernel(0);
   net::Network network(lanes, net::NetConfig{});
   auto topo = net::make_star(network, 2, Rate::gbps(10.0), common::kMicrosecond);
-  fabric::FabricContext context;
-  fabric::Initiator initiator(network, topo.hosts[0], context);
-  fabric::Target target(network, topo.hosts[1], context, fabric::TargetConfig{});
+  fabric::Initiator initiator(network, topo.hosts[0]);
+  fabric::Target target(network, topo.hosts[1], fabric::TargetConfig{});
 
   std::unique_ptr<FaultInjector> injector;
   if (with_empty_injector) {
@@ -450,10 +440,9 @@ TEST(FaultInjectionTest, SignalLossSuppressesCongestionCallbacks) {
   sim::Simulator& sim = lanes.kernel(0);
   net::Network network(lanes, net::NetConfig{});
   auto topo = net::make_star(network, 3, Rate::gbps(2.0), common::kMicrosecond);
-  fabric::FabricContext context;
-  fabric::Initiator initiator(network, topo.hosts[0], context);
-  fabric::Target t0(network, topo.hosts[1], context, fabric::TargetConfig{});
-  fabric::Target t1(network, topo.hosts[2], context, fabric::TargetConfig{});
+  fabric::Initiator initiator(network, topo.hosts[0]);
+  fabric::Target t0(network, topo.hosts[1], fabric::TargetConfig{});
+  fabric::Target t1(network, topo.hosts[2], fabric::TargetConfig{});
 
   int cuts_t0 = 0;
   int cuts_t1 = 0;

@@ -100,11 +100,10 @@ TEST(FailureInjectionTest, FabricSurvivesTargetDeviceDegradation) {
   sim::Simulator& sim = lanes.kernel(0);
   net::Network network(lanes, net::NetConfig{});
   const auto topo = net::make_star(network, 3, Rate::gbps(10.0), common::kMicrosecond);
-  fabric::FabricContext context;
-  fabric::Initiator initiator(network, topo.hosts[0], context);
+  fabric::Initiator initiator(network, topo.hosts[0]);
   fabric::TargetConfig target_config;
-  fabric::Target healthy(network, topo.hosts[1], context, target_config);
-  fabric::Target degrading(network, topo.hosts[2], context, target_config);
+  fabric::Target healthy(network, topo.hosts[1], target_config);
+  fabric::Target degrading(network, topo.hosts[2], target_config);
 
   workload::MicroParams params = workload::symmetric_micro(40.0, 16.0 * 1024, 600);
   const auto trace = workload::generate_micro(params, 3);
