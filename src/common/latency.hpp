@@ -1,6 +1,8 @@
 // Latency percentile tracking with logarithmic buckets: O(1) record,
 // approximate quantiles with <= ~9% relative bucket error, fixed memory.
-// Used by the drivers and the fabric to report p50/p99/p999 latencies.
+// The repo's one histogram type: the drivers and the fabric report
+// p50/p99/p999 latencies from it, and the metric registry (obs/metrics.hpp)
+// snapshots it bucket by bucket.
 #pragma once
 
 #include <array>
@@ -13,7 +15,9 @@ namespace src::common {
 
 class LatencyRecorder {
  public:
-  /// Buckets span [1 us, ~100 s) with 8 buckets per decade.
+  /// Buckets span [1 us, ~100 s) with 8 buckets per decade. Bucket b holds
+  /// [edge_us(b), edge_us(b + 1)); bucket 0 also takes everything below
+  /// 1 us, and the last bucket clamps everything above its lower edge.
   static constexpr std::size_t kBucketsPerDecade = 8;
   static constexpr std::size_t kDecades = 8;
   static constexpr std::size_t kBuckets = kBucketsPerDecade * kDecades;
@@ -27,6 +31,8 @@ class LatencyRecorder {
   }
 
   std::uint64_t count() const { return count_; }
+  std::uint64_t bucket(std::size_t b) const { return buckets_.at(b); }
+  double sum_us() const { return sum_us_; }
   double mean_us() const { return count_ ? sum_us_ / static_cast<double>(count_) : 0.0; }
   double max_us() const { return max_us_; }
 
@@ -47,6 +53,11 @@ class LatencyRecorder {
   double p99_us() const { return quantile_us(0.99); }
   double p999_us() const { return quantile_us(0.999); }
 
+  /// Boundary between buckets k - 1 and k: 10^(k/8) us.
+  static double edge_us(std::size_t k) {
+    return std::pow(10.0, static_cast<double>(k) / kBucketsPerDecade);
+  }
+
   void merge(const LatencyRecorder& other) {
     count_ += other.count_;
     sum_us_ += other.sum_us_;
@@ -63,10 +74,7 @@ class LatencyRecorder {
   }
 
   static double bucket_midpoint_us(std::size_t bucket) {
-    const double lo = std::pow(10.0, static_cast<double>(bucket) / kBucketsPerDecade);
-    const double hi =
-        std::pow(10.0, static_cast<double>(bucket + 1) / kBucketsPerDecade);
-    return 0.5 * (lo + hi);
+    return 0.5 * (edge_us(bucket) + edge_us(bucket + 1));
   }
 
   std::array<std::uint64_t, kBuckets> buckets_{};

@@ -1,6 +1,6 @@
 // Streaming statistics used by the workload feature extractor (mean, SCV,
-// skewness, lag-1 autocorrelation), a simple histogram, and a time-binned
-// series accumulator used to build throughput timelines for the figures.
+// skewness, lag-1 autocorrelation) and time-binned series accumulators used
+// to build throughput timelines for the figures.
 #pragma once
 
 #include <cstddef>
@@ -105,46 +105,6 @@ class Lag1Autocorrelation {
   double cross_sum_ = 0.0;
   double prev_sum_ = 0.0;
   double curr_sum_ = 0.0;
-};
-
-/// Fixed-width histogram over [lo, hi); out-of-range samples clamp to the
-/// edge buckets.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets)
-      : lo_(lo), hi_(hi), counts_(buckets, 0) {}
-
-  void add(double x) {
-    const double t = (x - lo_) / (hi_ - lo_);
-    auto idx = static_cast<std::ptrdiff_t>(t * static_cast<double>(counts_.size()));
-    if (idx < 0) idx = 0;
-    if (idx >= static_cast<std::ptrdiff_t>(counts_.size()))
-      idx = static_cast<std::ptrdiff_t>(counts_.size()) - 1;
-    ++counts_[static_cast<std::size_t>(idx)];
-    ++total_;
-  }
-
-  std::size_t bucket_count() const { return counts_.size(); }
-  std::uint64_t bucket(std::size_t i) const { return counts_.at(i); }
-  std::uint64_t total() const { return total_; }
-
-  double quantile(double q) const {
-    if (total_ == 0) return lo_;
-    const auto target = static_cast<std::uint64_t>(q * static_cast<double>(total_));
-    std::uint64_t acc = 0;
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-      acc += counts_[i];
-      if (acc >= target)
-        return lo_ + (hi_ - lo_) * (static_cast<double>(i) + 0.5) /
-                         static_cast<double>(counts_.size());
-    }
-    return hi_;
-  }
-
- private:
-  double lo_, hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
 };
 
 /// Accumulates (time, bytes) completions into fixed-width time bins and

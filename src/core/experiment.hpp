@@ -79,7 +79,10 @@ struct ExperimentConfig {
   /// on shard 1, conservative sync on the link delay — run by min(lanes,
   /// 2) threads; results are identical at every lanes >= 1, but differ
   /// from the one-shard plan in event tie-ordering at the hub boundary, so
-  /// the two plans keep separate goldens.
+  /// the two plans keep separate goldens. They also differ in end_time:
+  /// LaneGroup::now() is the largest shard clock, and a drained hub shard's
+  /// clock has jumped to the slice deadline, so at lanes >= 1 end_time
+  /// reads the 5 ms slice boundary (fig9: 150 ms, not 149.992996 ms).
   std::size_t lanes = 0;
 
   /// Safety cap on simulated time.

@@ -63,8 +63,8 @@ StandaloneResult run_standalone(const ssd::SsdConfig& config,
   result.events_executed = sim.executed_events();
   result.reads_completed = driver->stats().completed_reads;
   result.writes_completed = driver->stats().completed_writes;
-  result.mean_read_latency_us = driver->stats().mean_read_latency_us();
-  result.mean_write_latency_us = driver->stats().mean_write_latency_us();
+  result.mean_read_latency_us = driver->stats().read_latency.mean_us();
+  result.mean_write_latency_us = driver->stats().write_latency.mean_us();
   result.read_rate = result.read_timeline.trimmed_mean_rate(options.trim, options.trim);
   result.write_rate = result.write_timeline.trimmed_mean_rate(options.trim, options.trim);
   return result;

@@ -193,19 +193,17 @@ void Initiator::on_fabric_message(const net::MessageHeader& header,
   const common::SimTime latency = sim_.now() - request->issue_time;
   if (tag == kReadData) {
     ++stats_.reads_completed;
-    stats_.total_read_latency += latency;
     stats_.read_latency.record(latency);
     SRC_OBS_COUNT("fabric.reads_completed");
-    SRC_OBS_LATENCY_US("fabric.read_latency_us", common::to_microseconds(latency));
+    SRC_OBS_LATENCY_US("fabric.read_latency_us", latency);
     SRC_OBS_SPAN("fabric", "read", request->issue_time, latency,
                  static_cast<std::uint32_t>(host_id_),
                  static_cast<double>(request->bytes));
   } else {
     ++stats_.writes_completed;
-    stats_.total_write_latency += latency;
     stats_.write_latency.record(latency);
     SRC_OBS_COUNT("fabric.writes_completed");
-    SRC_OBS_LATENCY_US("fabric.write_latency_us", common::to_microseconds(latency));
+    SRC_OBS_LATENCY_US("fabric.write_latency_us", latency);
     SRC_OBS_SPAN("fabric", "write", request->issue_time, latency,
                  static_cast<std::uint32_t>(host_id_),
                  static_cast<double>(request->bytes));

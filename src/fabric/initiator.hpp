@@ -44,19 +44,6 @@ struct InitiatorStats {
   std::uint32_t max_attempts = 0;       ///< most retransmissions any request saw
   std::uint64_t error_completions = 0;  ///< explicit error capsules received
   std::uint64_t stale_messages = 0;     ///< responses for no live request
-  common::SimTime total_read_latency = 0;   ///< issue -> data fully received
-  common::SimTime total_write_latency = 0;  ///< issue -> ack received
-
-  double mean_read_latency_us() const {
-    return reads_completed ? common::to_microseconds(total_read_latency) /
-                                 static_cast<double>(reads_completed)
-                           : 0.0;
-  }
-  double mean_write_latency_us() const {
-    return writes_completed ? common::to_microseconds(total_write_latency) /
-                                  static_cast<double>(writes_completed)
-                            : 0.0;
-  }
 
   std::uint64_t requests_failed() const { return reads_failed + writes_failed; }
 

@@ -43,20 +43,18 @@ void NvmeDriver::dispatch(const IoRequest& request) {
       --in_flight_reads_;
       ++stats_.completed_reads;
       stats_.completed_read_bytes += completion.bytes;
-      stats_.total_read_latency += latency;
       stats_.read_latency.record(latency);
       SRC_OBS_COUNT("nvme.completed_reads");
-      SRC_OBS_LATENCY_US("nvme.read_latency_us", common::to_microseconds(latency));
+      SRC_OBS_LATENCY_US("nvme.read_latency_us", latency);
       SRC_OBS_SPAN("nvme", "read", original.arrival, latency, trace_lane_,
                    static_cast<double>(completion.bytes));
     } else {
       --in_flight_writes_;
       ++stats_.completed_writes;
       stats_.completed_write_bytes += completion.bytes;
-      stats_.total_write_latency += latency;
       stats_.write_latency.record(latency);
       SRC_OBS_COUNT("nvme.completed_writes");
-      SRC_OBS_LATENCY_US("nvme.write_latency_us", common::to_microseconds(latency));
+      SRC_OBS_LATENCY_US("nvme.write_latency_us", latency);
       SRC_OBS_SPAN("nvme", "write", original.arrival, latency, trace_lane_,
                    static_cast<double>(completion.bytes));
     }

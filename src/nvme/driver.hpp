@@ -30,21 +30,8 @@ struct DriverStats {
   std::uint64_t completed_read_bytes = 0;
   std::uint64_t completed_write_bytes = 0;
   std::uint64_t io_errors = 0;  ///< completions with a non-success status
-  common::SimTime total_read_latency = 0;   ///< submit -> complete, summed
-  common::SimTime total_write_latency = 0;
-  common::LatencyRecorder read_latency;      ///< percentile histograms
+  common::LatencyRecorder read_latency;   ///< submit -> complete
   common::LatencyRecorder write_latency;
-
-  double mean_read_latency_us() const {
-    return completed_reads ? common::to_microseconds(total_read_latency) /
-                                 static_cast<double>(completed_reads)
-                           : 0.0;
-  }
-  double mean_write_latency_us() const {
-    return completed_writes ? common::to_microseconds(total_write_latency) /
-                                  static_cast<double>(completed_writes)
-                            : 0.0;
-  }
 };
 
 /// The device admission gate for one submission queue's front request,

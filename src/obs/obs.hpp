@@ -99,9 +99,10 @@ class ObsScope {
 
 // ---------------------------------------------------------------------------
 // Instrumentation macros. `name`/`cat` must be string literals; `ts`/`dur`
-// are SimTime (ns); `lane` must be a *deterministic* small integer (node id,
-// device index) — never a pointer — or identical runs would produce
-// different traces. Argument expressions are evaluated only when an
+// and SRC_OBS_LATENCY_US's `latency` are SimTime (ns), the latter kept in a
+// microsecond histogram; `lane` must be a *deterministic* small integer
+// (node id, device index) — never a pointer — or identical runs would
+// produce different traces. Argument expressions are evaluated only when an
 // observatory is installed (and, for trace macros, tracing is on), so call
 // sites may pass expressions that are costly to compute.
 // ---------------------------------------------------------------------------
@@ -110,7 +111,7 @@ class ObsScope {
 #define SRC_OBS_COUNT(name) ((void)0)
 #define SRC_OBS_COUNT_ADD(name, delta) ((void)0)
 #define SRC_OBS_GAUGE(name, value) ((void)0)
-#define SRC_OBS_LATENCY_US(name, us) ((void)0)
+#define SRC_OBS_LATENCY_US(name, latency) ((void)0)
 #define SRC_OBS_SPAN(cat, name, start, dur, lane, value) ((void)0)
 #define SRC_OBS_INSTANT(cat, name, ts, lane, value) ((void)0)
 #define SRC_OBS_TRACE_COUNTER(cat, name, ts, lane, value) ((void)0)
@@ -135,10 +136,10 @@ class ObsScope {
       obs_o_->metrics().gauge(name).set(value);                  \
   } while (0)
 
-#define SRC_OBS_LATENCY_US(name, us)                             \
+#define SRC_OBS_LATENCY_US(name, latency)                        \
   do {                                                           \
     if (::src::obs::Observatory* obs_o_ = ::src::obs::current()) \
-      obs_o_->metrics().latency_histogram_us(name).observe(us);  \
+      obs_o_->metrics().histogram(name).record(latency);         \
   } while (0)
 
 #define SRC_OBS_SPAN(cat, name, start, dur, lane, value)                      \

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+
 #include "common/rng.hpp"
 
 namespace src::common {
@@ -64,6 +67,23 @@ TEST(LatencyRecorderTest, MergeEqualsUnion) {
   EXPECT_EQ(a.count(), all.count());
   EXPECT_DOUBLE_EQ(a.p99_us(), all.p99_us());
   EXPECT_NEAR(a.mean_us(), all.mean_us(), 1e-9);
+}
+
+TEST(LatencyRecorderTest, BucketCountsSumToTotal) {
+  // Property: for any sample sequence, the bucket counts sum to count().
+  LatencyRecorder rec;
+  Rng rng(6);
+  for (int i = 0; i < 10'000; ++i) {
+    // Log-uniform from 1 ns to 1000 s: below the first edge, through every
+    // bucket, and far into the clamp bucket.
+    rec.record(static_cast<SimTime>(std::pow(10.0, rng.uniform(0.0, 12.0))));
+    std::uint64_t sum = 0;
+    for (std::size_t b = 0; b < LatencyRecorder::kBuckets; ++b) sum += rec.bucket(b);
+    ASSERT_EQ(sum, rec.count());
+  }
+  EXPECT_EQ(rec.count(), 10'000u);
+  EXPECT_GT(rec.bucket(0), 0u);
+  EXPECT_GT(rec.bucket(LatencyRecorder::kBuckets - 1), 0u);
 }
 
 TEST(LatencyRecorderTest, DriverPopulatesPercentiles) {

@@ -86,17 +86,6 @@ TEST(Lag1AutocorrelationTest, SmoothSeriesIsPositive) {
   EXPECT_GT(ac.value(), 0.9);
 }
 
-TEST(HistogramTest, QuantileAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 100; ++i) h.add(static_cast<double>(i % 10) + 0.5);
-  EXPECT_EQ(h.total(), 100u);
-  EXPECT_NEAR(h.quantile(0.5), 5.0, 1.0);
-  h.add(-5.0);   // clamps to first bucket
-  h.add(500.0);  // clamps to last bucket
-  EXPECT_EQ(h.bucket(0), 11u);
-  EXPECT_EQ(h.bucket(9), 11u);
-}
-
 TEST(ThroughputTimelineTest, BinningAndRates) {
   ThroughputTimeline tl(kMillisecond);
   tl.record(0, 1000);

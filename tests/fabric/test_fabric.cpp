@@ -52,7 +52,7 @@ TEST(FabricTest, ReadLatencyIncludesStorageAndNetwork) {
   rig.initiator->issue(IoType::kRead, 0, 16384, rig.target->node_id());
   rig.sim.run();
   // At least the SSD read latency (75 us for SSD-A) plus network hops.
-  EXPECT_GT(rig.initiator->stats().mean_read_latency_us(), 75.0);
+  EXPECT_GT(rig.initiator->stats().read_latency.mean_us(), 75.0);
 }
 
 TEST(FabricTest, TraceReplayCompletes) {

@@ -84,8 +84,8 @@ TEST(FifoDriverTest, LatencyStatsPopulated) {
   h.driver.submit(h.make(1, IoType::kRead, 0, 16384));
   h.driver.submit(h.make(2, IoType::kWrite, 1 << 20, 16384));
   h.sim.run();
-  EXPECT_GT(h.driver.stats().mean_read_latency_us(), 0.0);
-  EXPECT_GT(h.driver.stats().mean_write_latency_us(), 0.0);
+  EXPECT_GT(h.driver.stats().read_latency.mean_us(), 0.0);
+  EXPECT_GT(h.driver.stats().write_latency.mean_us(), 0.0);
   EXPECT_EQ(h.driver.stats().read_latency.count(), 1u);
   EXPECT_EQ(h.driver.stats().write_latency.count(), 1u);
   EXPECT_GT(h.driver.stats().read_latency.p50_us(), 0.0);

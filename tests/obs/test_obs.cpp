@@ -1,67 +1,16 @@
 // Property tests for the observability primitives (src/obs): histogram
-// invariants, counter monotonicity, ring-buffer bounds, JSON round trips,
-// and macro/scope routing.
+// snapshots and merges, counter monotonicity, ring-buffer bounds, JSON
+// round trips, and macro/scope routing.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/rng.hpp"
 #include "obs/obs.hpp"
 
 namespace src::obs {
 namespace {
-
-// ---------------------------------------------------------------------------
-// FixedHistogram
-// ---------------------------------------------------------------------------
-
-TEST(FixedHistogram, BucketCountsSumToTotal) {
-  // Property: for any observation sequence, sum(bucket counts) == total().
-  std::uint64_t state = 0xfeedbeef;
-  FixedHistogram hist(FixedHistogram::latency_buckets_us());
-  for (int i = 0; i < 10000; ++i) {
-    // Span everything from sub-bucket to far past the last bound.
-    const double value =
-        static_cast<double>(common::splitmix64(state) % 1'000'000'000ull) / 10.0;
-    hist.observe(value);
-    std::uint64_t sum = 0;
-    for (std::size_t b = 0; b < hist.bucket_count(); ++b) sum += hist.bucket(b);
-    ASSERT_EQ(sum, hist.total());
-  }
-  EXPECT_EQ(hist.total(), 10000u);
-}
-
-TEST(FixedHistogram, BoundsAreInclusiveUpperEdges) {
-  FixedHistogram hist({1.0, 10.0, 100.0});
-  hist.observe(1.0);    // exactly on the first edge -> bucket 0
-  hist.observe(1.5);    // bucket 1
-  hist.observe(10.0);   // bucket 1
-  hist.observe(100.5);  // overflow bucket
-  EXPECT_EQ(hist.bucket(0), 1u);
-  EXPECT_EQ(hist.bucket(1), 2u);
-  EXPECT_EQ(hist.bucket(2), 0u);
-  EXPECT_EQ(hist.bucket(3), 1u);
-  EXPECT_EQ(hist.bucket_count(), 4u);  // 3 bounds + overflow
-}
-
-TEST(FixedHistogram, MeanAndQuantileTrackObservations) {
-  FixedHistogram hist(FixedHistogram::latency_buckets_us());
-  for (int i = 0; i < 1000; ++i) hist.observe(100.0);
-  EXPECT_DOUBLE_EQ(hist.mean(), 100.0);
-  // All mass sits in the bucket whose edges are (50, 100]: midpoint 75.
-  EXPECT_DOUBLE_EQ(hist.quantile(0.5), 75.0);
-  EXPECT_DOUBLE_EQ(hist.quantile(0.99), 75.0);
-}
-
-TEST(FixedHistogram, LatencyBucketsAreStrictlyAscending) {
-  const auto bounds = FixedHistogram::latency_buckets_us();
-  ASSERT_FALSE(bounds.empty());
-  for (std::size_t i = 1; i < bounds.size(); ++i) {
-    ASSERT_LT(bounds[i - 1], bounds[i]);
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Counter / Gauge / MetricRegistry
@@ -102,19 +51,11 @@ TEST(MetricRegistry, FindReturnsNullForUntouchedMetrics) {
   EXPECT_EQ(registry.find_histogram("absent"), nullptr);
 }
 
-TEST(MetricRegistry, FirstHistogramCallFixesBounds) {
-  MetricRegistry registry;
-  FixedHistogram& hist = registry.histogram("h", {1.0, 2.0});
-  FixedHistogram& again = registry.histogram("h", {99.0});
-  EXPECT_EQ(&hist, &again);
-  EXPECT_EQ(again.bounds(), (std::vector<double>{1.0, 2.0}));
-}
-
 TEST(MetricRegistry, SnapshotRoundTripsThroughParser) {
   MetricRegistry registry;
   registry.counter("net.cnps").inc(7);
   registry.gauge("core.weight").set(4.0);
-  registry.latency_histogram_us("nvme.read_latency_us").observe(123.0);
+  registry.histogram("nvme.read_latency_us").record(123 * common::kMicrosecond);
 
   const Json parsed = Json::parse(registry.snapshot_json());
   EXPECT_EQ(parsed.find("counters")->find("net.cnps")->as_uint64(), 7u);
@@ -123,9 +64,49 @@ TEST(MetricRegistry, SnapshotRoundTripsThroughParser) {
   ASSERT_NE(hist, nullptr);
   EXPECT_EQ(hist->find("total")->as_uint64(), 1u);
   EXPECT_DOUBLE_EQ(hist->find("sum")->as_double(), 123.0);
-  // counts has one more entry than bounds (the overflow bucket).
+  // counts has one more entry than bounds (the clamp bucket).
   EXPECT_EQ(hist->find("counts")->as_array().size(),
             hist->find("bounds")->as_array().size() + 1);
+}
+
+TEST(MetricRegistry, HistogramBoundsAreStrictlyAscending) {
+  using common::LatencyRecorder;
+  MetricRegistry registry;
+  registry.histogram("h").record(common::kMillisecond);
+  const Json parsed = Json::parse(registry.snapshot_json());
+  const Json::Array& bounds =
+      parsed.find("histograms")->find("h")->find("bounds")->as_array();
+  ASSERT_EQ(bounds.size(), LatencyRecorder::kBuckets - 1);
+  for (std::size_t k = 1; k <= bounds.size(); ++k) {
+    // Bound k - 1 is the edge between buckets k - 1 and k: 10^(k/8) us.
+    ASSERT_DOUBLE_EQ(bounds[k - 1].as_double(), LatencyRecorder::edge_us(k));
+    if (k > 1) {
+      ASSERT_LT(bounds[k - 2].as_double(), bounds[k - 1].as_double());
+    }
+  }
+}
+
+TEST(MetricRegistry, MergeAddsLatencyHistograms) {
+  // Integer-us samples keep every sum exact, so the merged snapshot must
+  // equal the one-registry snapshot byte for byte.
+  MetricRegistry first, second, whole;
+  common::Rng rng(7);
+  for (int i = 0; i < 2000; ++i) {
+    const common::SimTime latency =
+        static_cast<common::SimTime>(rng.uniform_index(5'000'000) + 1) *
+        common::kMicrosecond;
+    // Writes come only from odd samples, so only the second registry has
+    // that histogram and the merge must create it.
+    const char* name = i % 6 == 1 ? "fabric.write_latency_us" : "nvme.read_latency_us";
+    MetricRegistry& half = i % 2 == 0 ? first : second;
+    half.histogram(name).record(latency);
+    whole.histogram(name).record(latency);
+  }
+  first.merge(second);
+  EXPECT_EQ(first.snapshot_json(), whole.snapshot_json());
+  EXPECT_EQ(first.find_histogram("nvme.read_latency_us")->count() +
+                first.find_histogram("fabric.write_latency_us")->count(),
+            2000u);
 }
 
 // ---------------------------------------------------------------------------
@@ -280,7 +261,7 @@ TEST(ObsMacros, RecordOnlyIntoTheCurrentObservatory) {
     SRC_OBS_COUNT("test.count");
     SRC_OBS_COUNT_ADD("test.count", 2);
     SRC_OBS_GAUGE("test.gauge", count_eval());
-    SRC_OBS_LATENCY_US("test.latency_us", 17.0);
+    SRC_OBS_LATENCY_US("test.latency_us", 17 * common::kMicrosecond);
     SRC_OBS_SPAN("sim", "span", 100, 50, 1, 0.0);
     SRC_OBS_INSTANT("sim", "instant", 200, 1, 0.0);
     SRC_OBS_TRACE_COUNTER("sim", "counter", 300, 1, 5.0);
@@ -288,7 +269,7 @@ TEST(ObsMacros, RecordOnlyIntoTheCurrentObservatory) {
   EXPECT_EQ(evaluations, 1);
   EXPECT_EQ(observatory.metrics().find_counter("test.count")->value(), 3u);
   EXPECT_DOUBLE_EQ(observatory.metrics().find_gauge("test.gauge")->value(), 1.0);
-  EXPECT_EQ(observatory.metrics().find_histogram("test.latency_us")->total(), 1u);
+  EXPECT_EQ(observatory.metrics().find_histogram("test.latency_us")->count(), 1u);
   EXPECT_EQ(observatory.tracer().size(), 3u);
 
   // Outside the scope: back to no-op.

@@ -401,7 +401,7 @@ TEST(LaneGroupTest, ObservatoryRecordIsLaneCountInvariant) {
           SRC_OBS_COUNT("lane.hops");
           SRC_OBS_COUNT_ADD("lane.weighted_hops", at + 1);
           SRC_OBS_GAUGE("lane.last_round", round);
-          SRC_OBS_LATENCY_US("lane.hop_us", static_cast<double>(now % 97));
+          SRC_OBS_LATENCY_US("lane.hop_us", (now % 97) * common::kMicrosecond);
           SRC_OBS_INSTANT("sim", "hop", now, static_cast<std::uint32_t>(at),
                           static_cast<double>(round));
           SRC_OBS_TRACE_COUNTER("sim", "round", now,

@@ -895,6 +895,48 @@ int cmd_benchdiff(const Args& args) {
   return 0;
 }
 
+/// Validate one `metrics.histograms` entry: strictly ascending `bounds`,
+/// one more `counts` entry than `bounds`, all non-negative integers summing
+/// to `total`, and a numeric `sum`. Returns an empty string when valid,
+/// else a message.
+std::string check_histogram(const obs::Json& hist) {
+  if (!hist.is_object()) return "not an object";
+  const auto is_count = [](const obs::Json* value) {
+    // srclint:fp-ok(exact test that a JSON number holds an integer)
+    return value != nullptr && value->is_number() && value->as_number() >= 0.0 &&
+           std::floor(value->as_number()) == value->as_number();
+  };
+  const obs::Json* bounds = hist.find("bounds");
+  const obs::Json* counts = hist.find("counts");
+  const obs::Json* total = hist.find("total");
+  const obs::Json* sum = hist.find("sum");
+  if (bounds == nullptr || !bounds->is_array()) return "missing \"bounds\" array";
+  if (counts == nullptr || !counts->is_array()) return "missing \"counts\" array";
+  if (!is_count(total)) return "\"total\" is not a non-negative integer";
+  if (sum == nullptr || !sum->is_number()) return "missing numeric \"sum\"";
+  const obs::Json::Array& edges = bounds->as_array();
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    if (!edges[i].is_number() ||
+        (i > 0 && !(edges[i - 1].as_number() < edges[i].as_number()))) {
+      return "\"bounds\" are not strictly ascending numbers";
+    }
+  }
+  if (counts->as_array().size() != edges.size() + 1) {
+    return "has " + std::to_string(counts->as_array().size()) + " \"counts\" for " +
+           std::to_string(edges.size()) + " \"bounds\" (want one more)";
+  }
+  std::uint64_t seen = 0;
+  for (const obs::Json& count : counts->as_array()) {
+    if (!is_count(&count)) return "\"counts\" are not all non-negative integers";
+    seen += count.as_uint64();
+  }
+  if (seen != total->as_uint64()) {
+    return "\"counts\" sum to " + std::to_string(seen) + ", not \"total\" " +
+           std::to_string(total->as_uint64());
+  }
+  return "";
+}
+
 /// Validate one `srcctl run --metrics-out` report ("src-run-v1", for
 /// every topology kind). Returns an empty string when valid, else a message.
 std::string check_run_json(const std::string& path) {
@@ -952,6 +994,14 @@ std::string check_run_json(const std::string& path) {
     if (!value.is_number() || value.as_number() < 0.0) {
       return "metrics.counters." + counter + ": not a non-negative number";
     }
+  }
+  const obs::Json* histograms = metrics->find("histograms");
+  if (histograms == nullptr || !histograms->is_object()) {
+    return "metrics: missing \"histograms\" object";
+  }
+  for (const auto& [histogram, value] : histograms->as_object()) {
+    const std::string error = check_histogram(value);
+    if (!error.empty()) return "metrics.histograms." + histogram + ": " + error;
   }
   return "";
 }
