@@ -1,13 +1,15 @@
 // Hot-path cost of the FTL: log-structured writes with GC kept ahead of
-// the allocator, mapping lookups, and full GC cycles; plus the latency
-// recorder every completion feeds. Results land in BENCH_micro_ftl.json via
-// the shared harness.
+// the allocator, mapping lookups, and full GC cycles; the cached mapping
+// table under evictions; plus the latency recorder every completion
+// feeds. Results land in BENCH_micro_ftl.json via the shared harness.
 #include <cstdint>
 #include <cstdio>
 
 #include "bench/harness.hpp"
 #include "common/latency.hpp"
 #include "common/rng.hpp"
+#include "ssd/cmt.hpp"
+#include "ssd/config.hpp"
 #include "ssd/ftl.hpp"
 
 namespace {
@@ -88,6 +90,19 @@ int main() {
         gc_cycle(ftl);
       }
       sink += ftl.stats().erases;
+      return 0;
+    });
+  }
+
+  {
+    // SSD-A's CMT, warmed to full, then random reads over 4x its capacity:
+    // about three in four accesses miss and evict the LRU entry.
+    CachedMappingTable cmt(ssd_a().cmt_entries());
+    const std::uint64_t pages = 4 * cmt.capacity();
+    src::common::Rng rng(5);
+    for (std::uint64_t i = 0; i < cmt.capacity(); ++i) cmt.access(i);
+    harness.repeat("cmt_evicting", /*items_per_iter=*/250'000, [&] {
+      for (int i = 0; i < 250'000; ++i) sink += cmt.access(rng.uniform_index(pages));
       return 0;
     });
   }

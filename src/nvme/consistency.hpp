@@ -5,25 +5,28 @@
 // order. Tracking is page-granular.
 //
 // The tracker is the SSQ submit path's hot spot (an overloaded cell keeps
-// tens of thousands of pages queued), so it is its own open-addressed
+// tens of thousands of pages queued), so its table is a paged page-state
 // table rather than a general map:
-//  - route() decides the queue and records the request in one probe per
-//    page. A request reserves room for all its pages first, so no rehash
-//    happens mid-request and slot indices stay valid;
-//  - a 12-byte slot holds the page and a packed (count << 1) | kind word;
-//    count 0 means empty, so there is no separate occupancy array;
-//  - the table is kept at most 3/4 full and deletes by backward shift, so
-//    it never degrades;
+//  - pages live in fixed-size chunks of kChunkPages u32 words, each word
+//    (count << 1) | kind; count 0 means the page is not tracked, so there
+//    is no separate occupancy array;
+//  - a chunk is found by `page >> kChunkBits` in a small index map, and the
+//    last chunk found is cached, so a request's consecutive pages pay one
+//    lookup. Nothing is ever rehashed: a page's word never moves;
+//  - a chunk whose last tracked page is fetched goes back to a free list
+//    and is reused, so a drained tracker holds no live chunk;
 //  - page keys are full 64-bit: trace LBAs are not bounded by the device.
 #pragma once
 
-#include <bit>
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
 
+#include "common/flat_map.hpp"
 #include "common/types.hpp"
 
 namespace src::nvme {
@@ -37,6 +40,9 @@ constexpr QueueKind natural_queue(common::IoType type) {
 
 class ConsistencyTracker {
  public:
+  static constexpr unsigned kChunkBits = 9;
+  static constexpr std::uint64_t kChunkPages = std::uint64_t{1} << kChunkBits;
+
   explicit ConsistencyTracker(std::uint64_t page_bytes)
       : page_bytes_(page_bytes == 0 ? 1 : page_bytes) {}
 
@@ -47,41 +53,57 @@ class ConsistencyTracker {
   /// the queue of a page it shares with an earlier request).
   QueueKind route(std::uint64_t lba, std::uint32_t bytes, QueueKind natural) {
     const auto [first, last] = page_range(lba, bytes);
-    reserve(last - first + 1);
-    // Pages before the first hit are fresh; their slots are remembered so
-    // a hit can re-pin them without a second probe.
-    fresh_.clear();
-    std::optional<QueueKind> pinned;
-    for (std::uint64_t page = first; page <= last; ++page) {
-      const std::size_t i = probe(page);
-      std::uint32_t& word = slots_[i].word;
-      if (word == 0) {
-        slots_[i].key = page;
-        ++size_;
-        if (!pinned) fresh_.push_back(i);
-      } else if (!pinned) {
-        pinned = kind_of(word);
-      }
-      word = ((word + 2) & ~1u) | bit(pinned.value_or(natural));
-    }
-    if (pinned && *pinned != natural) {
-      for (const std::size_t i : fresh_) {
-        slots_[i].word = (slots_[i].word & ~1u) | bit(*pinned);
+    QueueKind kind = natural;
+    bool pinned = false;
+    for (std::uint64_t key = first >> kChunkBits;
+         !pinned && key <= (last >> kChunkBits); ++key) {
+      const Chunk* chunk = find(key);
+      if (chunk == nullptr) continue;
+      const auto [lo, hi] = span(key, first, last);
+      for (std::uint64_t i = lo; i <= hi; ++i) {
+        if (const std::uint32_t word = chunk->words[i]) {
+          kind = kind_of(word);
+          pinned = true;
+          break;
+        }
       }
     }
-    return pinned.value_or(natural);
+    for (std::uint64_t key = first >> kChunkBits; key <= (last >> kChunkBits);
+         ++key) {
+      Chunk& chunk = find_or_add(key);
+      const auto [lo, hi] = span(key, first, last);
+      for (std::uint64_t i = lo; i <= hi; ++i) {
+        std::uint32_t& word = chunk.words[i];
+        if (word == 0) {
+          ++chunk.live;
+          ++size_;
+        }
+        word = ((word + 2) & ~1u) | bit(kind);
+      }
+    }
+    return kind;
   }
 
   /// Record that a queued request has been fetched to the device.
   void note_fetched(std::uint64_t lba, std::uint32_t bytes) {
     if (size_ == 0) return;
     const auto [first, last] = page_range(lba, bytes);
-    for (std::uint64_t page = first; page <= last; ++page) {
-      const std::size_t i = probe(page);
-      std::uint32_t& word = slots_[i].word;
-      if (word == 0) continue;
-      word -= 2;
-      if ((word >> 1) == 0) erase_at(i);
+    for (std::uint64_t key = first >> kChunkBits; key <= (last >> kChunkBits);
+         ++key) {
+      Chunk* chunk = find(key);
+      if (chunk == nullptr) continue;
+      const auto [lo, hi] = span(key, first, last);
+      for (std::uint64_t i = lo; i <= hi; ++i) {
+        std::uint32_t& word = chunk->words[i];
+        if (word == 0) continue;
+        word -= 2;
+        if ((word >> 1) == 0) {
+          word = 0;
+          --chunk->live;
+          --size_;
+        }
+      }
+      if (chunk->live == 0) release(key);
     }
   }
 
@@ -92,24 +114,24 @@ class ConsistencyTracker {
 
   /// The queue and reference count recorded for one page, if any.
   std::optional<PageState> page_state(std::uint64_t page) const {
-    if (size_ == 0) return std::nullopt;
-    const std::uint32_t word = slots_[probe(page)].word;
+    const std::uint32_t* slot = index_.find(page >> kChunkBits);
+    if (slot == nullptr) return std::nullopt;
+    const std::uint32_t word = chunks_[*slot]->words[page & (kChunkPages - 1)];
     if (word == 0) return std::nullopt;
     return PageState{kind_of(word), word >> 1};
   }
 
   std::size_t tracked_pages() const { return size_; }
 
+  /// Chunks ever allocated (live plus free-listed): bounded by the peak
+  /// number of chunks holding a tracked page at once.
+  std::size_t chunk_count() const { return chunks_.size(); }
+
  private:
-  // 12-byte slots, 3/4 the size of a padded 16-byte layout; x86-64 and
-  // AArch64 load the 4-aligned key without penalty.
-#pragma pack(push, 4)
-  struct Slot {
-    std::uint64_t key = 0;
-    std::uint32_t word = 0;  ///< (count << 1) | kind; 0 = empty
+  struct Chunk {
+    std::uint32_t live = 0;  ///< tracked pages in this chunk
+    std::array<std::uint32_t, kChunkPages> words{};  ///< (count << 1) | kind
   };
-#pragma pack(pop)
-  static_assert(sizeof(Slot) == 12);
 
   static QueueKind kind_of(std::uint32_t word) {
     return static_cast<QueueKind>(word & 1u);
@@ -125,56 +147,56 @@ class ConsistencyTracker {
     return {first, last};
   }
 
-  /// Fibonacci hashing: page numbers are near-sequential, and the golden-
-  /// ratio multiply spreads them over the high bits.
-  std::size_t home(std::uint64_t key) const {
-    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> shift_);
+  /// Word offsets within chunk `key` of the pages in [first, last].
+  static std::pair<std::uint64_t, std::uint64_t> span(std::uint64_t key,
+                                                      std::uint64_t first,
+                                                      std::uint64_t last) {
+    constexpr std::uint64_t kMask = kChunkPages - 1;
+    const std::uint64_t lo = (first >> kChunkBits) == key ? first & kMask : 0;
+    const std::uint64_t hi = (last >> kChunkBits) == key ? last & kMask : kMask;
+    return {lo, hi};
   }
 
-  /// Index of `key`'s slot, or of the empty slot ending its probe chain.
-  std::size_t probe(std::uint64_t key) const {
-    std::size_t i = home(key);
-    while (slots_[i].word != 0 && slots_[i].key != key) i = (i + 1) & mask_;
-    return i;
+  Chunk* find(std::uint64_t key) {
+    if (cached_ != nullptr && cached_key_ == key) return cached_;
+    const std::uint32_t* slot = index_.find(key);
+    if (slot == nullptr) return nullptr;
+    cached_key_ = key;
+    cached_ = chunks_[*slot].get();
+    return cached_;
   }
 
-  /// Grow until `extra` more pages fit at no more than 3/4 load.
-  void reserve(std::uint64_t extra) {
-    std::size_t cap = slots_.size();
-    if ((size_ + extra) * 4 <= cap * 3) return;
-    if (cap == 0) cap = 64;
-    while ((size_ + extra) * 4 > cap * 3) cap *= 2;
-    std::vector<Slot> old = std::move(slots_);
-    slots_.assign(cap, Slot{});
-    mask_ = cap - 1;
-    shift_ = static_cast<unsigned>(64 - std::countr_zero(cap));
-    for (const Slot& s : old) {
-      if (s.word != 0) slots_[probe(s.key)] = s;
+  Chunk& find_or_add(std::uint64_t key) {
+    if (Chunk* chunk = find(key)) return *chunk;
+    std::uint32_t slot;
+    if (free_.empty()) {
+      slot = static_cast<std::uint32_t>(chunks_.size());
+      chunks_.push_back(std::make_unique<Chunk>());
+    } else {
+      slot = free_.back();
+      free_.pop_back();
     }
+    index_[key] = slot;
+    cached_key_ = key;
+    cached_ = chunks_[slot].get();
+    return *cached_;
   }
 
-  /// Backward-shift deletion: pull every later entry of the probe chain
-  /// whose home allows it into the hole, so no tombstones are needed.
-  void erase_at(std::size_t hole) {
-    --size_;
-    slots_[hole].word = 0;
-    for (std::size_t j = (hole + 1) & mask_; slots_[j].word != 0;
-         j = (j + 1) & mask_) {
-      const std::size_t h = home(slots_[j].key);
-      if (((j - h) & mask_) >= ((j - hole) & mask_)) {
-        slots_[hole] = slots_[j];
-        slots_[j].word = 0;
-        hole = j;
-      }
-    }
+  /// Return an empty chunk (all words 0) to the free list.
+  void release(std::uint64_t key) {
+    const std::uint32_t* slot = index_.find(key);
+    if (cached_ == chunks_[*slot].get()) cached_ = nullptr;
+    free_.push_back(*slot);
+    index_.erase(key);
   }
 
   std::uint64_t page_bytes_;
-  std::vector<Slot> slots_;
-  std::vector<std::size_t> fresh_;  ///< route() scratch, reused
-  std::size_t mask_ = 0;
+  std::vector<std::unique_ptr<Chunk>> chunks_;
+  common::FlatMap64<std::uint32_t> index_;  ///< page >> kChunkBits -> chunk
+  std::vector<std::uint32_t> free_;         ///< empty chunks, reused first
+  Chunk* cached_ = nullptr;                 ///< the last chunk found
+  std::uint64_t cached_key_ = 0;
   std::size_t size_ = 0;
-  unsigned shift_ = 64;
 };
 
 }  // namespace src::nvme

@@ -181,10 +181,6 @@ void SsdDevice::execute_write(const NvmeCommand& cmd, CompletionFn on_complete) 
     cache_used_ += footprint;
     for (std::uint32_t i = 0; i < pages; ++i) dirty_pages_[base + i] = true;
 
-    DirtyEntry entry;
-    entry.first_page = base;
-    entry.page_count = pages;
-    entry.bytes = footprint;
     ++stats_.cache_absorbed_writes;
     SRC_OBS_COUNT("ssd.cache_absorbed_writes");
     SRC_OBS_TRACE_COUNTER("ssd", "cache_used_bytes", sim_.now(), trace_lane_,
@@ -194,7 +190,7 @@ void SsdDevice::execute_write(const NvmeCommand& cmd, CompletionFn on_complete) 
     sim_.schedule_at(finish, [on_complete = std::move(on_complete), completion] {
       on_complete(completion);
     });
-    dirty_.push_back(std::move(entry));
+    dirty_.push_back(DirtyEntry{base, pages, footprint});
     pump_drain();
     return;
   }
@@ -232,7 +228,7 @@ std::uint64_t SsdDevice::deallocate(std::uint64_t lba, std::uint32_t bytes) {
 void SsdDevice::pump_drain() {
   while (drain_in_flight_ < cfg_.effective_drain_streams() && !dirty_.empty()) {
     ++drain_in_flight_;
-    DirtyEntry entry = std::move(dirty_.front());
+    const DirtyEntry entry = dirty_.front();
     dirty_.pop_front();
 
     SimTime finish = sim_.now();
@@ -241,13 +237,12 @@ void SsdDevice::pump_drain() {
     }
 
     // srclint:capture-ok(the device lives as long as its simulator)
-    sim_.schedule_at(finish, [this, entry = std::move(entry)]() mutable {
+    sim_.schedule_at(finish, [this, entry] {
       cache_used_ -= entry.bytes;
       for (std::uint32_t i = 0; i < entry.page_count; ++i) {
         dirty_pages_.erase(entry.first_page + i);
       }
       --drain_in_flight_;
-      if (entry.on_drained) entry.on_drained(sim_.now());
       pump_drain();
     });
   }

@@ -121,8 +121,6 @@ class SsdDevice {
     std::uint64_t first_page = 0;
     std::uint32_t page_count = 0;
     std::uint64_t bytes = 0;
-    /// Set for drain-paced writes: invoked when the entry reaches flash.
-    std::function<void(common::SimTime)> on_drained;
   };
 
   void execute_read(const NvmeCommand& cmd, CompletionFn on_complete);

@@ -101,9 +101,8 @@ TEST(ConsistencyTest, FirstHitDecidesAndOverwritesEveryPage) {
 }
 
 TEST(ConsistencyTest, RedirectAcrossGrowthRepinsFreshPages) {
-  // 59 fresh pages precede the hit, more than the first table holds, so
-  // the table must grow while this one request is recorded; every fresh
-  // page must still end up in the hit's queue.
+  // 59 fresh pages precede the hit; every one of them must end up in the
+  // hit's queue, not in the request's natural queue.
   ConsistencyTracker tracker(4096);
   tracker.route(100 * 4096, 4096, kWsq);
   EXPECT_EQ(tracker.route(41 * 4096, 60 * 4096, kRsq), kWsq);
@@ -121,6 +120,33 @@ TEST(ConsistencyTest, PageKeysAboveTwoToThe32AreDistinct) {
   EXPECT_FALSE(tracker.page_state(7).has_value());
   EXPECT_EQ(tracker.route(7 * 4096, 4096, kRsq), kRsq);
   EXPECT_EQ(tracker.route(high * 4096, 4096, kRsq), kWsq);
+}
+
+TEST(ConsistencyTest, DrainedChunksAreRecycled) {
+  // 10k sparse single-page requests, one per chunk, with page keys above
+  // 2^32: each allocates a chunk, and fetching it empties that chunk.
+  constexpr std::uint64_t kPage = 4096;
+  constexpr std::uint64_t kRequests = 10'000;
+  const std::uint64_t base = std::uint64_t{1} << 33;
+  const auto lba = [&](std::uint64_t i) {
+    return (base + i * ConsistencyTracker::kChunkPages + i % 7) * kPage;
+  };
+  ConsistencyTracker tracker(kPage);
+  // Rounds 0 and 1 are identical; round 2 uses chunks no earlier round
+  // touched, so only recycled chunks keep its count flat.
+  for (std::uint64_t round = 0; round < 3; ++round) {
+    const std::uint64_t shift = round == 2 ? kRequests * kPage * kPage : 0;
+    for (std::uint64_t i = 0; i < kRequests; ++i) {
+      ASSERT_EQ(tracker.route(lba(i) + shift, kPage, kWsq), kWsq) << i;
+    }
+    EXPECT_EQ(tracker.tracked_pages(), kRequests);
+    EXPECT_EQ(tracker.chunk_count(), kRequests) << "round " << round;
+    for (std::uint64_t i = 0; i < kRequests; ++i) {
+      tracker.note_fetched(lba(i) + shift, kPage);
+    }
+    EXPECT_EQ(tracker.tracked_pages(), 0u);
+    EXPECT_FALSE(tracker.page_state(base + shift / kPage).has_value());
+  }
 }
 
 /// Reference model: a page -> (queue, count) map with the routing rule

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <list>
+#include <vector>
+
+#include "common/rng.hpp"
+
 namespace src::ssd {
 namespace {
 
@@ -58,6 +65,48 @@ TEST(CmtTest, SequentialScanLargerThanCapacityAlwaysMisses) {
   CachedMappingTable cmt(4);
   for (int round = 0; round < 3; ++round) {
     for (std::uint64_t p = 0; p < 16; ++p) EXPECT_FALSE(cmt.access(p));
+  }
+}
+
+/// Reference LRU: a std::list from MRU (front) to LRU (back).
+struct ListLru {
+  std::size_t capacity;
+  std::list<std::uint64_t> order;
+
+  bool access(std::uint64_t page) {
+    const auto it = std::find(order.begin(), order.end(), page);
+    if (it != order.end()) {
+      order.splice(order.begin(), order, it);
+      return true;
+    }
+    if (order.size() >= capacity) order.pop_back();
+    order.push_front(page);
+    return false;
+  }
+};
+
+TEST(CmtTest, MatchesListReferenceUnderRandomAccess) {
+  constexpr std::uint64_t kCapacity = 64;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    common::Rng rng(seed);
+    CachedMappingTable cmt(kCapacity);
+    ListLru model{kCapacity, {}};
+    for (int op = 0; op < 5000; ++op) {
+      const std::uint64_t page = rng.uniform_index(3 * kCapacity);
+      ASSERT_EQ(cmt.access(page), model.access(page)) << "seed " << seed << " op " << op;
+      ASSERT_EQ(cmt.size(), model.order.size()) << "seed " << seed << " op " << op;
+    }
+    // Eviction order: a fresh page evicts the model's LRU page, and
+    // re-touching each evicted page in turn evicts the next one, so every
+    // access of the chain misses only if the victims come in LRU order.
+    std::vector<std::uint64_t> lru_first(model.order.rbegin(), model.order.rend());
+    EXPECT_FALSE(cmt.access(3 * kCapacity));
+    model.access(3 * kCapacity);
+    for (const std::uint64_t page : lru_first) {
+      EXPECT_FALSE(cmt.access(page)) << "seed " << seed << " page " << page;
+      EXPECT_FALSE(model.access(page));
+    }
+    EXPECT_EQ(cmt.hits() + cmt.misses(), 5000u + 1 + kCapacity);
   }
 }
 
