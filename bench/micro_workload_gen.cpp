@@ -1,11 +1,12 @@
-// Trace generation and feature extraction cost. Emits
-// BENCH_micro_workload_gen.json via the shared harness so the generator
-// throughput joins the committed perf-trajectory baselines.
+// Trace generation and feature extraction cost, and the TPM training grid.
+// Emits BENCH_micro_workload_gen.json via the shared harness so the
+// generator throughput joins the committed perf-trajectory baselines.
 #include <cstdint>
 #include <cstdio>
 #include <string>
 
 #include "bench/harness.hpp"
+#include "core/presets.hpp"
 #include "workload/features.hpp"
 #include "workload/micro.hpp"
 #include "workload/mmpp.hpp"
@@ -51,6 +52,21 @@ int main() {
         workload::generate_micro(workload::symmetric_micro(10.0, 32 * 1024, 10'000), 5);
     harness.repeat("feature_extraction/n=10000", /*items_per_iter=*/trace.size(), [&] {
       sink += workload::extract_features(trace).as_array()[0];
+      return 0;
+    });
+  }
+
+  {
+    // The default TPM training grid: 60 micro traces of 6000 requests per
+    // read stream, generated on every hardware thread as train_default_tpm
+    // generates them.
+    std::size_t records = 0;
+    for (const auto& trace : core::default_training_grid(6000, 11).traces) {
+      records += trace.size();
+    }
+    harness.repeat("training_grid", /*items_per_iter=*/records, [&] {
+      const core::TrainingGrid grid = core::default_training_grid(6000, 11);
+      sink += static_cast<double>(grid.traces.size());
       return 0;
     });
   }

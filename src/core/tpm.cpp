@@ -38,15 +38,15 @@ ml::Dataset collect_training_data(const ssd::SsdConfig& config,
   std::vector<Sample> samples(points.size());
 
   // Features of each trace are computed once (they do not depend on w).
+  runner::SweepRunner pool(grid.threads);
   std::vector<workload::WorkloadFeatures> features(grid.traces.size());
-  for (std::size_t t = 0; t < grid.traces.size(); ++t) {
+  pool.run(grid.traces.size(), [&](std::size_t t) {
     features[t] = workload::extract_features(grid.traces[t]);
-  }
+  });
 
   // Grid points are independent simulations; the runner collects them in
   // submission order for any worker count. Seeds stay `grid.seed + i` (not
   // runner::derive_seed) so datasets match those published by earlier PRs.
-  runner::SweepRunner pool(grid.threads);
   pool.run(points.size(), [&](std::size_t i) {
     const Point point = points[i];
     StandaloneOptions options;

@@ -423,6 +423,10 @@ void fields(Io& io, S& d) {
   io.flag("enabled", d.enabled);
   io.number("g", d.g, Range::kUnitInterval);
   io.time("alpha_timer", d.alpha_timer);
+  // A recovering controller re-arms its alpha timer every alpha_timer, so a
+  // zero period re-arms it at the same instant for ever. A zero rate timer
+  // is allowed: each tick raises the rate, so recovery ends at line rate.
+  io.check(d.alpha_timer > 0, "alpha_timer", "must be > 0 (got 0)");
   io.time("rate_timer", d.rate_timer);
   io.count("byte_counter", d.byte_counter, 1);
   io.count("fast_recovery_stages", d.fast_recovery_stages, 1);
@@ -786,6 +790,14 @@ void validate_pod(const ScenarioSpec& spec, const std::string& file) {
       fail_at(file, "$.lanes",
               "star scenarios run at most 2 lanes (hosts | hub switch), got " +
                   std::to_string(spec.lanes));
+    }
+    // With lanes, every host link crosses the hosts | hub cut, and a
+    // cross-shard delay bounds the conservative lookahead.
+    if (spec.lanes > 0 && spec.topology.link_delay < 1) {
+      fail_at(file, "$.topology.link_delay_ns",
+              "must be >= 1 when lanes >= 1 (every host link crosses the "
+              "hosts | hub cut, and its delay bounds the conservative "
+              "lookahead), got " + std::to_string(spec.topology.link_delay));
     }
     return;
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <utility>
 
 #include "common/rng.hpp"
 
@@ -57,23 +58,40 @@ std::uint32_t clamp_align(double raw, const MicroParams& params) {
   return static_cast<std::uint32_t>(bytes);
 }
 
-void generate_stream(const StreamParams& stream, IoType type,
-                     const MicroParams& params, common::Rng& rng, Trace& out) {
-  double clock_us = 0.0;
-  const std::uint64_t lba_pages = params.lba_space_bytes / params.align_bytes;
-  std::optional<ZipfSampler> zipf;
-  if (params.zipf_theta > 0.0) zipf.emplace(lba_pages, params.zipf_theta);
-  for (std::size_t i = 0; i < stream.count; ++i) {
-    clock_us += rng.exponential(stream.mean_iat_us);
+/// One stream's records, drawn in arrival order from the stream's own RNG.
+/// `zipf` is the LBA sampler (null = uniform LBAs).
+class StreamSource {
+ public:
+  StreamSource(const StreamParams& stream, IoType type, const MicroParams& params,
+               const ZipfSampler* zipf, common::Rng rng)
+      : stream_(stream),
+        type_(type),
+        params_(params),
+        zipf_(zipf),
+        rng_(rng),
+        lba_pages_(params.lba_space_bytes / params.align_bytes) {}
+
+  TraceRecord next() {
+    clock_us_ += rng_.exponential(stream_.mean_iat_us);
     TraceRecord rec;
-    rec.arrival = common::microseconds(clock_us);
-    rec.type = type;
-    rec.bytes = clamp_align(rng.exponential(stream.mean_size_bytes), params);
-    const std::uint64_t page = zipf ? zipf->draw(rng) : rng.uniform_index(lba_pages);
-    rec.lba = page * params.align_bytes;
-    out.push_back(rec);
+    rec.arrival = common::microseconds(clock_us_);
+    rec.type = type_;
+    rec.bytes = clamp_align(rng_.exponential(stream_.mean_size_bytes), params_);
+    const std::uint64_t page =
+        zipf_ != nullptr ? zipf_->draw(rng_) : rng_.uniform_index(lba_pages_);
+    rec.lba = page * params_.align_bytes;
+    return rec;
   }
-}
+
+ private:
+  const StreamParams& stream_;
+  IoType type_;
+  const MicroParams& params_;
+  const ZipfSampler* zipf_;
+  common::Rng rng_;
+  std::uint64_t lba_pages_;
+  double clock_us_ = 0.0;
+};
 
 }  // namespace
 
@@ -85,17 +103,19 @@ MicroParams symmetric_micro(double mean_iat_us, double mean_size_bytes,
   return params;
 }
 
-Trace generate_micro(const MicroParams& params, std::uint64_t seed) {
+Trace generate_micro(const MicroParams& params, std::uint64_t seed, Trace into) {
+  // The sampler keeps no RNG state, so both streams share one.
+  std::optional<ZipfSampler> zipf;
+  if (params.zipf_theta > 0.0) {
+    zipf.emplace(params.lba_space_bytes / params.align_bytes, params.zipf_theta);
+  }
+  const ZipfSampler* lba_sampler = zipf ? &*zipf : nullptr;
   common::Rng rng(seed);
-  common::Rng read_rng = rng.fork();
-  common::Rng write_rng = rng.fork();
-
-  Trace trace;
-  trace.reserve(params.read.count + params.write.count);
-  generate_stream(params.read, IoType::kRead, params, read_rng, trace);
-  generate_stream(params.write, IoType::kWrite, params, write_rng, trace);
-  sort_by_arrival(trace);
-  return trace;
+  StreamSource reads(params.read, IoType::kRead, params, lba_sampler, rng.fork());
+  StreamSource writes(params.write, IoType::kWrite, params, lba_sampler, rng.fork());
+  return merge_streams(
+      params.read.count, [&] { return reads.next(); },
+      params.write.count, [&] { return writes.next(); }, std::move(into));
 }
 
 }  // namespace src::workload

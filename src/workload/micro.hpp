@@ -38,7 +38,8 @@ MicroParams symmetric_micro(double mean_iat_us, double mean_size_bytes,
                             std::size_t count_per_stream);
 
 /// Generate a micro trace; deterministic for a given seed. The result is
-/// sorted by arrival time.
-Trace generate_micro(const MicroParams& params, std::uint64_t seed);
+/// sorted by arrival time (reads before writes on equal arrivals) and built
+/// in `into`'s buffer, as merge_streams builds it.
+Trace generate_micro(const MicroParams& params, std::uint64_t seed, Trace into = {});
 
 }  // namespace src::workload

@@ -122,43 +122,51 @@ std::uint32_t clamp_align(double raw, const SyntheticParams& params) {
   return static_cast<std::uint32_t>(bytes);
 }
 
-void generate_stream(const SyntheticStreamParams& stream, IoType type,
-                     const SyntheticParams& params, common::Rng& rng,
-                     Trace& out) {
-  const Mmpp2Params arrival_params =
-      fit_mmpp2(stream.mean_iat_us, stream.iat_scv);
-  Mmpp2Generator arrivals(arrival_params, rng.fork());
-  common::Rng size_rng = rng.fork();
-  common::Rng lba_rng = rng.fork();
+/// One stream's records, drawn in arrival order from the stream's own RNG.
+class StreamSource {
+ public:
+  StreamSource(const SyntheticStreamParams& stream, IoType type,
+               const SyntheticParams& params, common::Rng rng)
+      : stream_(stream),
+        type_(type),
+        params_(params),
+        arrivals_(fit_mmpp2(stream.mean_iat_us, stream.iat_scv), rng.fork()),
+        size_rng_(rng.fork()),
+        lba_rng_(rng.fork()),
+        lba_pages_(params.lba_space_bytes / params.align_bytes) {}
 
-  const std::uint64_t lba_pages = params.lba_space_bytes / params.align_bytes;
-  double clock_us = 0.0;
-  for (std::size_t i = 0; i < stream.count; ++i) {
-    clock_us += arrivals.next_iat_us();
+  TraceRecord next() {
+    clock_us_ += arrivals_.next_iat_us();
     TraceRecord rec;
-    rec.arrival = common::microseconds(clock_us);
-    rec.type = type;
+    rec.arrival = common::microseconds(clock_us_);
+    rec.type = type_;
     rec.bytes = clamp_align(
-        size_rng.lognormal_mean_scv(stream.mean_size_bytes, stream.size_scv),
-        params);
-    rec.lba = lba_rng.uniform_index(lba_pages) * params.align_bytes;
-    out.push_back(rec);
+        size_rng_.lognormal_mean_scv(stream_.mean_size_bytes, stream_.size_scv), params_);
+    rec.lba = lba_rng_.uniform_index(lba_pages_) * params_.align_bytes;
+    return rec;
   }
-}
+
+ private:
+  const SyntheticStreamParams& stream_;
+  IoType type_;
+  const SyntheticParams& params_;
+  // Declared in fork order: arrivals, sizes, then LBAs.
+  Mmpp2Generator arrivals_;
+  common::Rng size_rng_;
+  common::Rng lba_rng_;
+  std::uint64_t lba_pages_;
+  double clock_us_ = 0.0;
+};
 
 }  // namespace
 
 Trace generate_synthetic(const SyntheticParams& params, std::uint64_t seed) {
   common::Rng rng(seed);
-  common::Rng read_rng = rng.fork();
-  common::Rng write_rng = rng.fork();
-
-  Trace trace;
-  trace.reserve(params.read.count + params.write.count);
-  generate_stream(params.read, IoType::kRead, params, read_rng, trace);
-  generate_stream(params.write, IoType::kWrite, params, write_rng, trace);
-  sort_by_arrival(trace);
-  return trace;
+  StreamSource reads(params.read, IoType::kRead, params, rng.fork());
+  StreamSource writes(params.write, IoType::kWrite, params, rng.fork());
+  return merge_streams(
+      params.read.count, [&] { return reads.next(); },
+      params.write.count, [&] { return writes.next(); });
 }
 
 SyntheticParams fujitsu_vdi_like(std::size_t requests_per_stream) {

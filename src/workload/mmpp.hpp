@@ -87,7 +87,8 @@ struct SyntheticParams {
 };
 
 /// Generate a synthetic (MMPP-arrival, lognormal-size) trace, sorted by
-/// arrival time; deterministic for a given seed.
+/// arrival time (reads before writes on equal arrivals); deterministic for
+/// a given seed.
 Trace generate_synthetic(const SyntheticParams& params, std::uint64_t seed);
 
 /// Preset modeled on the Fujitsu VDI trace statistics quoted in §IV-D:

@@ -7,7 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
+#include <string>
 
 #include "core/standalone.hpp"
 #include "scenario.hpp"
@@ -71,6 +75,29 @@ TEST(GoldenMetrics, TrainingDatasetDigest) {
     mix(data.target(i, 1));
   }
   EXPECT_EQ(h, 7557163742650254348ull);
+}
+
+// The default forest TPM fitted on that same training set: FNV-1a over the
+// text Tpm::save_file writes (every threshold, leaf and importance at
+// max_digits10), so a change to the split search that moves one tree shows.
+TEST(GoldenMetrics, TpmForestDigest) {
+  const ml::Dataset data = core::collect_training_data(
+      ssd::ssd_a(), core::default_training_grid(600, 11));
+  core::Tpm tpm;
+  tpm.fit(data);
+  const std::string path = ::testing::TempDir() + "/golden_forest.tpm";
+  tpm.save_file(path);
+  std::ifstream in(path);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  std::remove(path.c_str());
+  ASSERT_FALSE(text.empty());
+  std::uint64_t h = 1469598103934665603ull;
+  for (const unsigned char c : text) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  EXPECT_EQ(h, 10917527274979092690ull);
 }
 
 TEST(GoldenMetrics, Fig7VdiDcqcnOnly) {

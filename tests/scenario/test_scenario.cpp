@@ -200,6 +200,40 @@ TEST(SpecParse, DiagnosticsCarryFileAndJsonPath) {
       "$.workloads[0].micro.max_size_bytes: must be <= 4294967295");
 }
 
+// Settings the simulator cannot run are refused while parsing, with the
+// manifest path, instead of hanging the run (a zero DCQCN alpha timer
+// re-arms itself at one instant for ever) or failing it from deep inside
+// the network builder (a zero star link delay across the lane cut).
+TEST(SpecParse, RefusesSettingsThatCannotRun) {
+  const auto manifest = [](const std::string& fields) {
+    return std::string(R"({"schema": "src-scenario-v1",
+                           "workloads": [{"kind": "micro"}], )") +
+           fields + "}";
+  };
+  expect_parse_error(
+      [&] { parse_scenario(manifest(R"("net": {"dcqcn": {"alpha_timer_ns": 0}})"), "m.json"); },
+      "m.json:$.net.dcqcn.alpha_timer_ns: must be > 0 (got 0)");
+  expect_parse_error(
+      [&] { parse_scenario(manifest(R"("net": {"dcqcn": {"alpha_timer_us": 0}})")); },
+      "$.net.dcqcn.alpha_timer_us: must be > 0");
+  expect_parse_error(
+      [&] {
+        parse_scenario(manifest(R"("lanes": 1, "topology": {"link_delay_ns": 0})"), "m.json");
+      },
+      "m.json:$.topology.link_delay_ns: must be >= 1 when lanes >= 1");
+  expect_parse_error(
+      [&] { parse_scenario(manifest(R"("lanes": 2, "topology": {"link_delay_us": 0})")); },
+      "$.topology.link_delay_ns: must be >= 1 when lanes >= 1");
+
+  // A zero rate timer ends recovery at line rate, and a one-shard star has
+  // no cut: both still parse.
+  EXPECT_EQ(parse_scenario(manifest(R"("net": {"dcqcn": {"rate_timer_ns": 0}})"))
+                .net.dcqcn.rate_timer,
+            0);
+  EXPECT_EQ(parse_scenario(manifest(R"("topology": {"link_delay_ns": 0})")).topology.link_delay,
+            0);
+}
+
 TEST(SpecParse, SugaredDurationsCannotOverflow) {
   // 1e20 ms is far past 2^53 ns; the sugared key is named as written.
   expect_parse_error(

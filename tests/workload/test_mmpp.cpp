@@ -154,5 +154,66 @@ TEST(SyntheticTest, SizeScvControlled) {
   EXPECT_LT(analyze(low).read.scv_size, analyze(high).read.scv_size);
 }
 
+// The reference the merge replaced: both streams appended, reads first,
+// then stable-sorted by arrival (see MicroTest's twin of this check).
+Trace concat_sort_reference(const SyntheticParams& params, std::uint64_t seed) {
+  SyntheticParams reads_only = params;
+  reads_only.write.count = 0;
+  SyntheticParams writes_only = params;
+  writes_only.read.count = 0;
+  Trace reference = generate_synthetic(reads_only, seed);
+  const Trace writes = generate_synthetic(writes_only, seed);
+  reference.insert(reference.end(), writes.begin(), writes.end());
+  sort_by_arrival(reference);
+  return reference;
+}
+
+void expect_same_records(const Trace& got, const Trace& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].arrival, want[i].arrival) << "record " << i;
+    EXPECT_EQ(got[i].type, want[i].type) << "record " << i;
+    EXPECT_EQ(got[i].lba, want[i].lba) << "record " << i;
+    EXPECT_EQ(got[i].bytes, want[i].bytes) << "record " << i;
+  }
+}
+
+TEST(SyntheticTest, MergedStreamsEqualConcatenateAndStableSort) {
+  common::Rng draw(77);
+  for (int round = 0; round < 30; ++round) {
+    SyntheticParams params;
+    // Bursty arrivals at a mean of about a nanosecond (every fifth round)
+    // share arrival instants within and across the streams.
+    params.read = SyntheticStreamParams{draw.uniform(0.002, 30.0), draw.uniform(1.0, 8.0),
+                                        draw.uniform(4096, 65536), draw.uniform(0.1, 3.0),
+                                        draw.uniform_index(1200)};
+    params.write = SyntheticStreamParams{draw.uniform(0.002, 30.0), draw.uniform(1.0, 8.0),
+                                         draw.uniform(4096, 65536), draw.uniform(0.1, 3.0),
+                                         draw.uniform_index(1200)};
+    if (round % 5 == 1) params.write.count = 0;
+    if (round % 5 == 2) params.read.count = 0;
+    if (round % 5 == 4) params.read.mean_iat_us = params.write.mean_iat_us = 0.001;
+    const std::uint64_t seed = draw.next_u64();
+    SCOPED_TRACE(round);
+    expect_same_records(generate_synthetic(params, seed),
+                        concat_sort_reference(params, seed));
+  }
+}
+
+TEST(SyntheticTest, MergeKeepsReadsFirstOnTies) {
+  // Poisson streams with a zero mean inter-arrival time: every record of
+  // both streams arrives at 0.
+  SyntheticParams params;
+  params.read = SyntheticStreamParams{0.0, 1.0, 16 * 1024, 0.5, 250};
+  params.write = SyntheticStreamParams{0.0, 1.0, 8 * 1024, 0.5, 150};
+  const Trace trace = generate_synthetic(params, 9);
+  expect_same_records(trace, concat_sort_reference(params, 9));
+  ASSERT_EQ(trace.size(), 400u);
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    EXPECT_EQ(trace[i].arrival, 0);
+    EXPECT_EQ(trace[i].type, i < 250 ? IoType::kRead : IoType::kWrite);
+  }
+}
+
 }  // namespace
 }  // namespace src::workload
