@@ -55,16 +55,6 @@ TraceStats analyze(std::span<const TraceRecord> trace) {
   return stats;
 }
 
-Trace merge_traces(const Trace& a, const Trace& b) {
-  Trace merged;
-  merged.reserve(a.size() + b.size());
-  std::merge(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(merged),
-             [](const TraceRecord& x, const TraceRecord& y) {
-               return x.arrival < y.arrival;
-             });
-  return merged;
-}
-
 void sort_by_arrival(Trace& trace) {
   std::stable_sort(trace.begin(), trace.end(),
                    [](const TraceRecord& x, const TraceRecord& y) {

@@ -54,10 +54,13 @@ TEST(TraceTest, SingleTypeTrace) {
 }
 
 TEST(TraceTest, MergePreservesOrderAndSize) {
-  Trace a{{microseconds(0), IoType::kRead, 0, 4096},
-          {microseconds(20), IoType::kRead, 0, 4096}};
-  Trace b{{microseconds(10), IoType::kWrite, 0, 4096}};
-  const Trace merged = merge_traces(a, b);
+  const Trace a{{microseconds(0), IoType::kRead, 0, 4096},
+                {microseconds(20), IoType::kRead, 0, 4096}};
+  const Trace b{{microseconds(10), IoType::kWrite, 0, 4096}};
+  std::size_t next_a = 0;
+  std::size_t next_b = 0;
+  const Trace merged = merge_streams(
+      a.size(), [&] { return a[next_a++]; }, b.size(), [&] { return b[next_b++]; });
   ASSERT_EQ(merged.size(), 3u);
   EXPECT_LE(merged[0].arrival, merged[1].arrival);
   EXPECT_LE(merged[1].arrival, merged[2].arrival);
