@@ -34,7 +34,7 @@ int main() {
     results = pool.map(4, [&](std::size_t i) {
       const bool use_src = i % 2 == 1;
       scenario::ScenarioSpec spec = scenario::vdi_spec(use_src);
-      spec.net.cc_algorithm = scenario::cc_registry().at(ccs[i / 2]).algorithm;
+      spec.net.cc_algorithm = scenario::cc_registry().at(ccs[i / 2]);
       scenario::BuildOptions options;
       options.tpm = use_src ? &tpm : nullptr;
       return scenario::run(spec, options);

@@ -1,11 +1,9 @@
 // The paper's full testbed topology at reduced activity: the 4-pod Clos
-// with 256 hosts (SIV-A), half initiators / half targets, with an active
-// subset replaying read-intensive workloads cross-pod under DCQCN-only and
-// DCQCN-SRC. This is the scale demonstration: every packet crosses the
-// real switch fabric with ECN/PFC/ECMP active, and SRC runs per target.
-//
-// (The quantitative per-figure reproductions use the small calibrated
-// presets; see fig7/fig10/table4.)
+// with 256 hosts (SIV-A) on the pod grammar's ToR / agg / spine tree, half
+// initiators / half targets, an active subset replaying read-intensive
+// workloads cross-pod under DCQCN-only and DCQCN-SRC with ECN/PFC active
+// and SRC per target. This is the scale demonstration; the per-figure
+// reproductions use the small calibrated presets (fig7/fig10/table4).
 #include <cstdio>
 #include <iostream>
 #include <memory>
@@ -38,9 +36,11 @@ Outcome run(bool use_src, const core::Tpm* tpm) {
   net_config.pfc.xoff_bytes = 96 * 1024;
   net_config.pfc.xon_bytes = 48 * 1024;
   net::Network network(lanes, net_config);
-  net::ClosParams params;
-  params.link_rate = Rate::gbps(4.0);  // scaled as in the presets (DESIGN SS5)
-  const auto topo = net::make_clos(network, params);
+  // 4 Gbps links (DESIGN SS5), 8:1 at the ToR, a non-blocking spine tier.
+  const net::PodGrammar grammar{.pods = 4, .racks_per_pod = 4, .hosts_per_rack = 16,
+                                .host_rate = Rate::gbps(4.0),
+                                .rack_uplink_rate = Rate::gbps(8.0)};
+  const auto topo = net::make_pod(network, grammar, net::PartitionPolicy::kNone);
 
   constexpr std::size_t kActiveInitiators = 16;
   constexpr std::size_t kTargetsPerInitiator = 2;
@@ -120,8 +120,8 @@ Outcome run(bool use_src, const core::Tpm* tpm) {
 }  // namespace
 
 int main() {
-  std::printf("Clos testbed — the paper's 256-host fabric (4 pods x [2 leaves\n");
-  std::printf("+ 4 ToRs + 64 hosts]), 16 active initiators x 2 targets each,\n");
+  std::printf("Clos testbed — the paper's 256-host fabric (4 pods x [agg + 4\n");
+  std::printf("ToRs + 64 hosts] under a spine), 16 active initiators x 2 targets each,\n");
   std::printf("cross-pod read-intensive workloads, 80 ms horizon\n\n");
   std::printf("training TPM...\n\n");
   const core::Tpm tpm = core::train_default_tpm(ssd::ssd_a());

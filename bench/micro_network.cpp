@@ -1,5 +1,5 @@
 // Packet-level network simulator cost: messages through a star and through
-// the paper-scale Clos with congestion control active, plus a high-degree
+// the paper-scale pod tree with congestion control active, plus a high-degree
 // switch fan-in incast and a PFC pause storm so the port ring buffers and
 // per-ingress pause accounting sit on the measured path. Emits
 // BENCH_micro_network.json via the shared harness; the events/sec figures
@@ -71,13 +71,13 @@ std::uint64_t run_pause_storm(std::uint64_t& sink, std::uint64_t& pauses) {
   return sim.executed_events();
 }
 
-/// 32 cross-pod transfers over the paper's 256-host Clos.
-std::uint64_t run_clos(std::uint64_t& sink) {
+/// 32 cross-pod transfers over the paper's 256-host fabric (4 x 4 x 16 pod).
+std::uint64_t run_pod(std::uint64_t& sink) {
   sim::LaneGroup lanes{1, 1};
   sim::Simulator& sim = lanes.kernel(0);
   net::Network network(lanes, net::NetConfig{});
-  net::ClosParams params;  // the paper's 256-host fabric
-  const auto topo = net::make_clos(network, params);
+  const net::PodGrammar grammar{.pods = 4, .racks_per_pod = 4, .hosts_per_rack = 16};
+  const auto topo = net::make_pod(network, grammar, net::PartitionPolicy::kNone);
   for (int i = 0; i < 32; ++i) {
     network.host(topo.hosts[static_cast<std::size_t>(i)])
         .send_message(topo.hosts[topo.hosts.size() - 1 - static_cast<std::size_t>(i)],
@@ -121,8 +121,8 @@ int main() {
                 static_cast<unsigned long long>(pauses / iters));
   }
 
-  harness.repeat("clos_cross_pod/transfers=32", /*items_per_iter=*/32,
-                 [&] { return run_clos(sink); });
+  harness.repeat("pod_cross_pod/transfers=32", /*items_per_iter=*/32,
+                 [&] { return run_pod(sink); });
 
   if (sink == ~0ull) std::printf("impossible\n");  // defeat dead-code elimination
   return 0;

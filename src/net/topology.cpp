@@ -20,65 +20,6 @@ StarTopology make_star(Network& net, std::size_t n_hosts, Rate link_rate,
   return topo;
 }
 
-DumbbellTopology make_dumbbell(Network& net, std::size_t hosts_per_side,
-                               Rate edge_rate, Rate bottleneck_rate,
-                               SimTime link_delay) {
-  DumbbellTopology topo;
-  topo.left_switch = net.add_switch("left");
-  topo.right_switch = net.add_switch("right");
-  net.connect(topo.left_switch, topo.right_switch, bottleneck_rate, link_delay);
-  for (std::size_t i = 0; i < hosts_per_side; ++i) {
-    const NodeId left = net.add_host("left_host" + std::to_string(i));
-    net.connect(left, topo.left_switch, edge_rate, link_delay);
-    topo.left_hosts.push_back(left);
-    const NodeId right = net.add_host("right_host" + std::to_string(i));
-    net.connect(right, topo.right_switch, edge_rate, link_delay);
-    topo.right_hosts.push_back(right);
-  }
-  net.finalize();
-  return topo;
-}
-
-ClosTopology make_clos(Network& net, const ClosParams& params) {
-  ClosTopology topo;
-
-  for (std::size_t pod = 0; pod < params.pods; ++pod) {
-    std::vector<NodeId> pod_leaves;
-    for (std::size_t l = 0; l < params.leaves_per_pod; ++l) {
-      pod_leaves.push_back(net.add_switch(
-          "leaf_p" + std::to_string(pod) + "_" + std::to_string(l)));
-    }
-    for (std::size_t t = 0; t < params.tors_per_pod; ++t) {
-      const NodeId tor = net.add_switch(
-          "tor_p" + std::to_string(pod) + "_" + std::to_string(t));
-      topo.tors.push_back(tor);
-      for (const NodeId leaf : pod_leaves) {
-        net.connect(tor, leaf, params.link_rate, params.link_delay);
-      }
-      for (std::size_t h = 0; h < params.hosts_per_tor; ++h) {
-        const NodeId host = net.add_host("host_p" + std::to_string(pod) + "_t" +
-                                         std::to_string(t) + "_" + std::to_string(h));
-        net.connect(host, tor, params.link_rate, params.link_delay);
-        topo.hosts.push_back(host);
-      }
-    }
-    topo.leaves.insert(topo.leaves.end(), pod_leaves.begin(), pod_leaves.end());
-  }
-
-  // Inter-pod connectivity: full mesh across the leaf layer (the paper's
-  // "two layers of switches" Clos; a distinct spine tier would only relabel
-  // these links).
-  for (std::size_t i = 0; i < topo.leaves.size(); ++i) {
-    for (std::size_t j = i + 1; j < topo.leaves.size(); ++j) {
-      net.connect(topo.leaves[i], topo.leaves[j], params.link_rate,
-                  params.link_delay);
-    }
-  }
-
-  net.finalize();
-  return topo;
-}
-
 PodTopology make_pod(Network& net, const PodGrammar& grammar,
                      PartitionPolicy policy) {
   if (grammar.pods < 1 || grammar.racks_per_pod < 1 ||

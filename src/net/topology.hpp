@@ -1,7 +1,7 @@
-// Topology builders: single-switch star (the in-cast experiments), a
-// two-switch dumbbell (classic congestion demos), and the paper's Clos
-// testbed — four pods of two leaf switches, four ToR switches and 64 hosts
-// each (256 hosts total), with the leaf layer fully meshed across pods.
+// Topology builders, one per shape: the single-switch star (the in-cast
+// experiments) and the pod grammar, a ToR / aggregation / spine tree that
+// also builds the paper's 256-host Clos testbed (4 pods x 4 racks x 16
+// hosts).
 #pragma once
 
 #include <vector>
@@ -22,35 +22,6 @@ struct StarTopology {
 StarTopology make_star(Network& net, std::size_t n_hosts, Rate link_rate,
                        SimTime link_delay, std::uint16_t host_shard = 0,
                        std::uint16_t hub_shard = 0);
-
-struct DumbbellTopology {
-  NodeId left_switch = kInvalidNode;
-  NodeId right_switch = kInvalidNode;
-  std::vector<NodeId> left_hosts;
-  std::vector<NodeId> right_hosts;
-};
-
-/// n left hosts and n right hosts joined by a single bottleneck link.
-DumbbellTopology make_dumbbell(Network& net, std::size_t hosts_per_side,
-                               Rate edge_rate, Rate bottleneck_rate,
-                               SimTime link_delay);
-
-struct ClosParams {
-  std::size_t pods = 4;
-  std::size_t leaves_per_pod = 2;
-  std::size_t tors_per_pod = 4;
-  std::size_t hosts_per_tor = 16;
-  Rate link_rate = Rate::gbps(40.0);
-  SimTime link_delay = common::kMicrosecond;
-};
-
-struct ClosTopology {
-  std::vector<NodeId> hosts;    ///< pod-major, then ToR-major order
-  std::vector<NodeId> tors;
-  std::vector<NodeId> leaves;
-};
-
-ClosTopology make_clos(Network& net, const ClosParams& params = {});
 
 // ---------------------------------------------------------------------------
 // Declarative pod grammar: pods x racks_per_pod x hosts_per_rack, a ToR per

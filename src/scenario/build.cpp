@@ -58,7 +58,7 @@ std::vector<int> make_initiator_cc(const ScenarioSpec& spec) {
                                    ? spec.initiators.front()
                                    : spec.initiators[i];
     cc.push_back(ini.cc.empty() ? spec.net.cc_algorithm
-                                : cc_registry().at(ini.cc).algorithm);
+                                : cc_registry().at(ini.cc));
   }
   return cc;
 }

@@ -1,8 +1,7 @@
 #include "scenario/registry.hpp"
 
 #include "core/presets.hpp"
-#include "net/cc_factory.hpp"
-#include "net/rate_control.hpp"
+#include "net/config.hpp"
 #include "workload/trace_io.hpp"
 
 namespace src::scenario {
@@ -18,28 +17,13 @@ Registry<std::optional<fabric::DriverMode>>& driver_registry() {
   return registry;
 }
 
-namespace {
-
-CcEntry cc_entry(net::CcAlgorithm algorithm) {
-  CcEntry entry;
-  entry.algorithm = static_cast<int>(algorithm);
-  entry.make = [algorithm](sim::Simulator& sim, const net::NetConfig& config,
-                           common::Rate line_rate) {
-    return net::make_rate_controller(static_cast<int>(algorithm), sim, config,
-                                     line_rate);
-  };
-  return entry;
-}
-
-}  // namespace
-
-Registry<CcEntry>& cc_registry() {
-  static Registry<CcEntry> registry = [] {
-    Registry<CcEntry> r("congestion controller");
-    r.add("dcqcn", cc_entry(net::CcAlgorithm::kDcqcn));
-    r.add("dctcp", cc_entry(net::CcAlgorithm::kDctcp));
-    r.add("swift", cc_entry(net::CcAlgorithm::kSwift));
-    r.add("cubic", cc_entry(net::CcAlgorithm::kCubic));
+Registry<int>& cc_registry() {
+  static Registry<int> registry = [] {
+    Registry<int> r("congestion controller");
+    r.add("dcqcn", static_cast<int>(net::CcAlgorithm::kDcqcn));
+    r.add("dctcp", static_cast<int>(net::CcAlgorithm::kDctcp));
+    r.add("swift", static_cast<int>(net::CcAlgorithm::kSwift));
+    r.add("cubic", static_cast<int>(net::CcAlgorithm::kCubic));
     return r;
   }();
   return registry;
@@ -47,7 +31,7 @@ Registry<CcEntry>& cc_registry() {
 
 std::string cc_name(int cc_algorithm) {
   for (const auto& [name, value] : cc_registry().entries()) {
-    if (value.algorithm == cc_algorithm) return name;
+    if (value == cc_algorithm) return name;
   }
   throw std::invalid_argument("cc_name: unregistered cc_algorithm value " +
                               std::to_string(cc_algorithm));

@@ -2,9 +2,9 @@
 // manifests and the concrete component types they name. A manifest says
 // "dcqcn", "ssq", "SSD-A", "synthetic", or "train-default"; the registries
 // resolve those names at build time, and new components extend a scenario
-// capability by registering under a new name in exactly one place
-// (register_builtin_components, or a downstream add() call) — no parser or
-// builder changes.
+// capability by registering under a new name in exactly one place (the
+// registry's initializer in registry.cpp, or a downstream add() call) — no
+// parser or builder changes.
 //
 // Determinism: registries are std::map-backed so names() enumerates in a
 // stable order (help text, error messages, and `srcctl scenarios` output
@@ -21,10 +21,7 @@
 
 #include "core/tpm.hpp"
 #include "fabric/target.hpp"
-#include "net/config.hpp"
-#include "net/rate_control.hpp"
 #include "scenario/spec.hpp"
-#include "sim/simulator.hpp"
 #include "workload/trace.hpp"
 
 namespace src::scenario {
@@ -94,19 +91,9 @@ class Registry {
 /// resolved from SrcSpec::enabled at build time).
 Registry<std::optional<fabric::DriverMode>>& driver_registry();
 
-/// A registered congestion controller: the NetConfig::cc_algorithm value a
-/// manifest name resolves to, plus a factory building a standalone
-/// per-flow controller from a NetConfig's parameter blocks (the typed end
-/// of the seam — hosts and tests construct controllers through it).
-struct CcEntry {
-  int algorithm = 0;
-  std::function<std::unique_ptr<net::RateController>(
-      sim::Simulator&, const net::NetConfig&, common::Rate line_rate)>
-      make;
-};
-
-/// Congestion-controller names -> typed factory entries.
-Registry<CcEntry>& cc_registry();
+/// Congestion-controller names -> NetConfig::cc_algorithm values (hosts
+/// build the controllers themselves, through net::make_rate_controller).
+Registry<int>& cc_registry();
 /// Reverse lookup for serialization; throws on an unregistered value.
 std::string cc_name(int cc_algorithm);
 

@@ -464,7 +464,7 @@ void fields(Io& io, S& c) {
 }
 
 int cc_by_name(const std::string& name) {
-  return cc_registry().at(name).algorithm;
+  return cc_registry().at(name);
 }
 
 template <typename Io, Is<net::NetConfig> S>

@@ -135,33 +135,5 @@ TEST(FailureInjectionTest, SrcControlLoopSurvivesDeviceDegradation) {
   }
 }
 
-TEST(FailureInjectionTest, EcmpSpreadsFlowsAcrossClosPaths) {
-  // Multi-path sanity: in a Clos with 2 leaves per pod, cross-pod flows
-  // from many sources must not all hash onto one leaf.
-  sim::LaneGroup lanes{1, 1};
-  sim::Simulator& sim = lanes.kernel(0);
-  net::Network network(lanes, net::NetConfig{});
-  net::ClosParams params;
-  params.pods = 2;
-  params.leaves_per_pod = 2;
-  params.tors_per_pod = 2;
-  params.hosts_per_tor = 4;
-  const auto topo = net::make_clos(network, params);
-
-  // Each ToR must see 2 equal-cost routes toward a cross-pod host.
-  const net::NodeId remote = topo.hosts.back();
-  EXPECT_EQ(network.switch_at(topo.tors.front()).route_count(remote), 2u);
-
-  for (std::size_t i = 0; i + 1 < topo.hosts.size() / 2; ++i) {
-    network.host(topo.hosts[i]).send_message(remote, 50'000);
-  }
-  sim.run();
-  // Both leaves of pod 0 forwarded traffic.
-  const auto leaf0 = network.switch_at(topo.leaves[0]).stats().packets_forwarded;
-  const auto leaf1 = network.switch_at(topo.leaves[1]).stats().packets_forwarded;
-  EXPECT_GT(leaf0, 0u);
-  EXPECT_GT(leaf1, 0u);
-}
-
 }  // namespace
 }  // namespace src

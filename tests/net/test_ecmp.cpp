@@ -85,10 +85,19 @@ TEST(EcmpTest, ParallelPathsCarryMoreThanOne) {
   rig.sim.run();
   const auto& stats = rig.net.host(rig.b).stats();
   EXPECT_EQ(stats.bytes_received, 16'000'000u);
-  // Both middle switches saw traffic iff the hash split the flows.
-  const auto f1 = rig.net.switch_at(rig.m1).stats().packets_forwarded;
-  const auto f2 = rig.net.switch_at(rig.m2).stats().packets_forwarded;
-  EXPECT_GT(f1 + f2, 0u);
+}
+
+TEST(EcmpTest, ManyChannelsUseBothPaths) {
+  // End to end: messages on many channels (one flow id each) from a to b
+  // must not all hash onto one middle switch.
+  DiamondRig rig;
+  for (std::uint32_t channel = 0; channel < 16; ++channel) {
+    rig.net.host(rig.a).send_message(rig.b, 50'000, 0, channel);
+  }
+  rig.sim.run();
+  EXPECT_EQ(rig.net.host(rig.b).stats().bytes_received, 16u * 50'000u);
+  EXPECT_GT(rig.net.switch_at(rig.m1).stats().packets_forwarded, 0u);
+  EXPECT_GT(rig.net.switch_at(rig.m2).stats().packets_forwarded, 0u);
 }
 
 }  // namespace

@@ -50,7 +50,7 @@ TEST(SpecRoundTrip, FaultPlanTraceWorkloadAndTpmFileSurvive) {
   spec.name = "kitchen-sink";
   spec.description = "every optional block populated";
   spec.driver = "ssq";
-  spec.net.cc_algorithm = cc_registry().at("dctcp").algorithm;
+  spec.net.cc_algorithm = cc_registry().at("dctcp");
   spec.retry.enabled = true;
 
   WorkloadSpec workload;
@@ -302,7 +302,7 @@ TEST(Registries, LookupFailureListsKnownNames) {
   EXPECT_EQ(presets.size(), 14u);
   // cc names round-trip through the reverse lookup used by the serializer.
   for (const std::string& cc : cc_registry().names()) {
-    EXPECT_EQ(cc_name(cc_registry().at(cc).algorithm), cc);
+    EXPECT_EQ(cc_name(cc_registry().at(cc)), cc);
   }
 }
 
@@ -386,14 +386,14 @@ TEST(Build, PerInitiatorCcResolvesAndReplicates) {
   // One shared entry replicates across all initiators.
   spec.initiators.push_back(InitiatorSpec{"swift"});
   const std::vector<int> shared = build(spec).config.initiator_cc;
-  const int swift = cc_registry().at("swift").algorithm;
+  const int swift = cc_registry().at("swift");
   EXPECT_EQ(shared, (std::vector<int>{swift, swift, swift}));
 
   // Per-initiator entries resolve independently; an empty cc falls back to
   // the spec-wide net algorithm.
   spec.initiators = {InitiatorSpec{"cubic"}, InitiatorSpec{}, InitiatorSpec{"swift"}};
   const std::vector<int> mixed = build(spec).config.initiator_cc;
-  EXPECT_EQ(mixed, (std::vector<int>{cc_registry().at("cubic").algorithm,
+  EXPECT_EQ(mixed, (std::vector<int>{cc_registry().at("cubic"),
                                      spec.net.cc_algorithm, swift}));
 
   // A mismatched count that bypassed the parser still fails at build time.

@@ -274,14 +274,12 @@ class Args {
     }
     std::size_t next = 0;
     for (const Operand& operand : command_.operands) {
+      const std::string slot = std::string("<").append(operand.name).append(">");
       std::size_t taken = 0;
       for (; taken < operand.max && next < operands_.size(); ++taken, ++next) {
-        check_value("<" + std::string(operand.name) + ">", operand.type,
-                    operands_[next]);
+        check_value(slot, operand.type, operands_[next]);
       }
-      if (taken < operand.min) {
-        throw UsageError("", "missing <" + std::string(operand.name) + ">");
-      }
+      if (taken < operand.min) throw UsageError("", "missing " + slot);
     }
     if (next < operands_.size()) {
       throw UsageError("", "unexpected argument '" + operands_[next] + "'");
@@ -1000,8 +998,8 @@ std::string check_run_json(const std::string& path) {
     return "metrics: missing \"histograms\" object";
   }
   for (const auto& [histogram, value] : histograms->as_object()) {
-    const std::string error = check_histogram(value);
-    if (!error.empty()) return "metrics.histograms." + histogram + ": " + error;
+    const std::string problem = check_histogram(value);
+    if (!problem.empty()) return "metrics.histograms." + histogram + ": " + problem;
   }
   return "";
 }
