@@ -640,8 +640,11 @@ int cmd_tpm(const Args& args) {
   }
   table.print(std::cout);
   if (args.has("save")) {
+    // The split model above only scores; the file holds the model a
+    // manifest's "train-default" source fits (all samples, and the
+    // inter-arrival lattice shifted for fast devices).
     const std::string out = args.text("save");
-    tpm.save_file(out);
+    core::train_default_tpm(config, args.integer("seed")).save_file(out);
     std::printf("model written to %s\n", out.c_str());
   }
   return 0;
