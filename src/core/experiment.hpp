@@ -82,7 +82,7 @@ struct ExperimentConfig {
   /// the two plans keep separate goldens. They also differ in end_time:
   /// LaneGroup::now() is the largest shard clock, and a drained hub shard's
   /// clock has jumped to the slice deadline, so at lanes >= 1 end_time
-  /// reads the 5 ms slice boundary (fig9: 150 ms, not 149.992996 ms).
+  /// can read the 5 ms slice boundary (fig10_heavy: 200 ms, not 199.981195 ms).
   std::size_t lanes = 0;
 
   /// Safety cap on simulated time.

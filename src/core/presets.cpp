@@ -44,15 +44,17 @@ TrainingGrid default_training_grid(std::size_t requests_per_stream,
   return grid;
 }
 
-Tpm train_default_tpm(const ssd::SsdConfig& ssd, std::uint64_t seed) {
+ml::Dataset default_training_data(const ssd::SsdConfig& ssd, std::uint64_t seed) {
   std::vector<double> iat_grid;
   if (ssd.read_latency <= 10 * common::kMicrosecond) {
     iat_grid = {5.0, 8.0, 12.0, 18.0, 27.0};  // fast (SSD-B-class) devices
   }
-  const TrainingGrid grid = default_training_grid(6000, seed, std::move(iat_grid));
-  const ml::Dataset data = collect_training_data(ssd, grid);
+  return collect_training_data(ssd, default_training_grid(6000, seed, std::move(iat_grid)));
+}
+
+Tpm train_default_tpm(const ssd::SsdConfig& ssd, std::uint64_t seed) {
   Tpm tpm;
-  tpm.fit(data);
+  tpm.fit(default_training_data(ssd, seed));
   return tpm;
 }
 

@@ -20,9 +20,13 @@ TrainingGrid default_training_grid(std::size_t requests_per_stream = 6000,
                                    std::uint64_t seed = 11,
                                    std::vector<double> iat_grid_us = {});
 
-/// Train a Random Forest TPM for the given SSD configuration. Fast devices
-/// (read latency <= 10 us, e.g. SSD-B) saturate at shorter inter-arrival
-/// times, so their training lattice shifts accordingly.
+/// The samples the default TPM is fitted on: default_training_grid
+/// replayed on `ssd`. Fast devices (read latency <= 10 us, e.g. SSD-B)
+/// saturate at shorter inter-arrival times, so their lattice shifts
+/// accordingly.
+ml::Dataset default_training_data(const ssd::SsdConfig& ssd, std::uint64_t seed = 11);
+
+/// Train a Random Forest TPM on all of default_training_data(ssd, seed).
 Tpm train_default_tpm(const ssd::SsdConfig& ssd, std::uint64_t seed = 11);
 
 }  // namespace src::core

@@ -405,8 +405,37 @@ int cmd_sweep(const Args& args) {
   return 0;
 }
 
-/// Run-report JSON ("src-run-v1"): scenario name, headline metrics, and the
-/// full observatory snapshot. `srcctl metricscheck` validates this shape.
+/// The report's `timeline`: read and write bytes and congestion signals per
+/// bin, as the result holds them (Figs. 7 and 8). The result pads both
+/// throughput timelines to the whole bins of the run, but a completion in
+/// the last, partial bin adds one more to its own side only; the report
+/// pads the other side with a zero, so read and write share one span. A pod
+/// run records no timelines, so its series are empty.
+obs::Json timeline_report(const core::ExperimentResult& result) {
+  const common::ThroughputTimeline& reads = result.read_timeline;
+  const common::ThroughputTimeline& writes = result.write_timeline;
+  obs::Json read{obs::Json::Array{}};
+  obs::Json write{obs::Json::Array{}};
+  const std::size_t bins = std::max(reads.bin_count(), writes.bin_count());
+  for (std::size_t i = 0; i < bins; ++i) {
+    read.push_back(obs::Json{i < reads.bin_count() ? reads.bin_bytes(i) : 0});
+    write.push_back(obs::Json{i < writes.bin_count() ? writes.bin_bytes(i) : 0});
+  }
+  obs::Json signals{obs::Json::Array{}};
+  for (std::size_t i = 0; i < result.pause_timeline.bin_count(); ++i) {
+    signals.push_back(obs::Json{result.pause_timeline.bin(i)});
+  }
+  obs::Json timeline{obs::Json::Object{}};
+  timeline.set("bin_ns", obs::Json{reads.bin_width()});
+  timeline.set("read_bytes", std::move(read));
+  timeline.set("write_bytes", std::move(write));
+  timeline.set("congestion_signals", std::move(signals));
+  return timeline;
+}
+
+/// Run-report JSON ("src-run-v1"): scenario name, headline metrics, the
+/// per-ms timelines, and the full observatory snapshot. `srcctl
+/// metricscheck` validates this shape.
 obs::Json run_report(const std::string& scenario_name,
                      const core::ExperimentResult& result,
                      const obs::Observatory& observatory) {
@@ -433,6 +462,7 @@ obs::Json run_report(const std::string& scenario_name,
     shares.push_back(obs::Json{share});
   }
   report.set("read_shares", std::move(shares));
+  report.set("timeline", timeline_report(result));
   report.set("metrics", observatory.metrics().snapshot());
   return report;
 }
@@ -622,8 +652,7 @@ int cmd_scenarios(const Args& args) {
 int cmd_tpm(const Args& args) {
   const auto config = ssd::config_by_name(args.text("ssd"));
   std::printf("collecting training data on %s...\n", config.name.c_str());
-  const auto data = core::collect_training_data(
-      config, core::default_training_grid(6000, args.integer("seed")));
+  const ml::Dataset data = core::default_training_data(config, args.integer("seed"));
   const auto [train, test] = data.split(0.6, 42);
   core::Tpm tpm;
   tpm.fit(train);
@@ -641,10 +670,11 @@ int cmd_tpm(const Args& args) {
   table.print(std::cout);
   if (args.has("save")) {
     // The split model above only scores; the file holds the model a
-    // manifest's "train-default" source fits (all samples, and the
-    // inter-arrival lattice shifted for fast devices).
+    // manifest's "train-default" source fits: the same samples, all of them.
     const std::string out = args.text("save");
-    core::train_default_tpm(config, args.integer("seed")).save_file(out);
+    core::Tpm full;
+    full.fit(data);
+    full.save_file(out);
     std::printf("model written to %s\n", out.c_str());
   }
   return 0;
@@ -896,17 +926,19 @@ int cmd_benchdiff(const Args& args) {
   return 0;
 }
 
+/// True for a JSON number that holds a non-negative integer.
+bool is_count(const obs::Json* value) {
+  // srclint:fp-ok(exact test that a JSON number holds an integer)
+  return value != nullptr && value->is_number() && value->as_number() >= 0.0 &&
+         std::floor(value->as_number()) == value->as_number();
+}
+
 /// Validate one `metrics.histograms` entry: strictly ascending `bounds`,
 /// one more `counts` entry than `bounds`, all non-negative integers summing
 /// to `total`, and a numeric `sum`. Returns an empty string when valid,
 /// else a message.
 std::string check_histogram(const obs::Json& hist) {
   if (!hist.is_object()) return "not an object";
-  const auto is_count = [](const obs::Json* value) {
-    // srclint:fp-ok(exact test that a JSON number holds an integer)
-    return value != nullptr && value->is_number() && value->as_number() >= 0.0 &&
-           std::floor(value->as_number()) == value->as_number();
-  };
   const obs::Json* bounds = hist.find("bounds");
   const obs::Json* counts = hist.find("counts");
   const obs::Json* total = hist.find("total");
@@ -934,6 +966,38 @@ std::string check_histogram(const obs::Json& hist) {
   if (seen != total->as_uint64()) {
     return "\"counts\" sum to " + std::to_string(seen) + ", not \"total\" " +
            std::to_string(total->as_uint64());
+  }
+  return "";
+}
+
+/// Validate a report's `timeline`: a positive integer `bin_ns` and three
+/// arrays of non-negative integers, the read and write series of one length.
+/// Returns an empty string when valid, else a message naming the key.
+std::string check_timeline(const obs::Json* timeline) {
+  if (timeline == nullptr || !timeline->is_object()) {
+    return "missing \"timeline\" object";
+  }
+  const obs::Json* bin_ns = timeline->find("bin_ns");
+  if (!is_count(bin_ns) || bin_ns->as_uint64() == 0) {
+    return "timeline.bin_ns: not a positive integer";
+  }
+  for (const char* key : {"read_bytes", "write_bytes", "congestion_signals"}) {
+    const obs::Json* series = timeline->find(key);
+    if (series == nullptr || !series->is_array()) {
+      return std::string("timeline: missing \"") + key + "\" array";
+    }
+    for (const obs::Json& value : series->as_array()) {
+      if (!is_count(&value)) {
+        return std::string("timeline.") + key +
+               ": not all entries are non-negative integers";
+      }
+    }
+  }
+  const std::size_t reads = timeline->find("read_bytes")->as_array().size();
+  const std::size_t writes = timeline->find("write_bytes")->as_array().size();
+  if (reads != writes) {
+    return "timeline: read_bytes has " + std::to_string(reads) +
+           " bins, write_bytes " + std::to_string(writes);
   }
   return "";
 }
@@ -1004,7 +1068,7 @@ std::string check_run_json(const std::string& path) {
     const std::string problem = check_histogram(value);
     if (!problem.empty()) return "metrics.histograms." + histogram + ": " + problem;
   }
-  return "";
+  return check_timeline(doc.find("timeline"));
 }
 
 int cmd_metricscheck(const Args& args) {
