@@ -23,6 +23,9 @@
 //   harness.repeat("schedule_drain/n=1000", /*items_per_iter=*/1000,
 //                  [&] { ... return events_executed; });
 //
+// repeat_with_setup(label, items, setup, fn) runs setup() untimed before
+// each timed fn(), so a section can time a run without its rig's build.
+//
 // On destruction the harness prints a human summary and writes
 // BENCH_<name>.json (schema "src-bench-v1", see DESIGN.md §10) to
 // $SRC_BENCH_OUT (a directory; default ".").  Every section carries
@@ -117,14 +120,25 @@ class Harness {
   const Record& repeat(const std::string& label, std::uint64_t items_per_iter,
                        F&& fn, double min_seconds = 0.5,
                        std::uint64_t min_iters = 3) {
+    return repeat_with_setup(label, items_per_iter, [] {}, std::forward<F>(fn),
+                             min_seconds, min_iters);
+  }
+
+  /// As repeat(), but each iteration first runs `setup()` outside the timed
+  /// region: a section that times a simulation alone builds its rig there.
+  template <typename S, typename F>
+  const Record& repeat_with_setup(const std::string& label, std::uint64_t items_per_iter,
+                                  S&& setup, F&& fn, double min_seconds = 0.5,
+                                  std::uint64_t min_iters = 3) {
     Record record;
     record.name = label;
-    const Clock::time_point t0 = Clock::now();
     while (record.wall_seconds < min_seconds || record.iterations < min_iters) {
+      setup();
+      const Clock::time_point t0 = Clock::now();
       record.events += static_cast<std::uint64_t>(fn());
+      record.wall_seconds += seconds_since(t0);
       ++record.iterations;
       record.items += items_per_iter;
-      record.wall_seconds = seconds_since(t0);
     }
     commit(std::move(record));
     return records_.back();

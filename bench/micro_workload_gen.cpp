@@ -58,8 +58,10 @@ int main() {
 
   {
     // The default TPM training grid: 60 micro traces of 6000 requests per
-    // read stream, generated on every hardware thread as train_default_tpm
-    // generates them.
+    // read stream, all held at once and generated on every hardware thread.
+    // train_default_tpm draws the same traces one at a time, each on the
+    // worker that replays its first cell, so this is the generation cost
+    // alone.
     std::size_t records = 0;
     for (const auto& trace : core::default_training_grid(6000, 11).traces) {
       records += trace.size();

@@ -23,7 +23,8 @@ TrainingGrid default_training_grid(std::size_t requests_per_stream = 6000,
 /// The samples the default TPM is fitted on: default_training_grid
 /// replayed on `ssd`. Fast devices (read latency <= 10 us, e.g. SSD-B)
 /// saturate at shorter inter-arrival times, so their lattice shifts
-/// accordingly.
+/// accordingly. Each trace is generated when its first cell runs and freed
+/// after its last, so the grid is never held whole.
 ml::Dataset default_training_data(const ssd::SsdConfig& ssd, std::uint64_t seed = 11);
 
 /// Train a Random Forest TPM on all of default_training_data(ssd, seed).

@@ -1,7 +1,9 @@
 #include "core/tpm.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <fstream>
+#include <mutex>
 #include <stdexcept>
 
 #include "core/standalone.hpp"
@@ -18,52 +20,65 @@ std::vector<double> tpm_row(const workload::WorkloadFeatures& ch, double w) {
   return row;
 }
 
-ml::Dataset collect_training_data(const ssd::SsdConfig& config,
-                                  const TrainingGrid& grid) {
-  struct Point {
-    std::size_t trace_index;
-    std::uint32_t weight;
+ml::Dataset collect_training_data(const ssd::SsdConfig& config, const TraceSource& source,
+                                  std::span<const std::uint32_t> weight_ratios,
+                                  std::uint64_t seed, std::size_t threads) {
+  // Trace t comes from the source, and its features are extracted (they do
+  // not depend on w), on the worker that first reaches one of its cells;
+  // the worker that finishes its last cell frees it.
+  struct Slot {
+    std::once_flag ready;
+    const workload::Trace* trace = nullptr;
+    workload::Trace storage;
+    workload::WorkloadFeatures features;
+    std::atomic<std::size_t> cells_left;
   };
-  std::vector<Point> points;
-  for (std::size_t t = 0; t < grid.traces.size(); ++t) {
-    for (const std::uint32_t w : grid.weight_ratios) {
-      points.push_back(Point{t, w});
-    }
-  }
+  const std::size_t per_trace = weight_ratios.size();
+  std::vector<Slot> slots(source.count);
+  for (Slot& slot : slots) slot.cells_left.store(per_trace, std::memory_order_relaxed);
 
   struct Sample {
     std::vector<double> x;
     std::array<double, 2> y;
   };
-  std::vector<Sample> samples(points.size());
+  std::vector<Sample> samples(source.count * per_trace);
 
-  // Features of each trace are computed once (they do not depend on w).
-  runner::SweepRunner pool(grid.threads);
-  std::vector<workload::WorkloadFeatures> features(grid.traces.size());
-  pool.run(grid.traces.size(), [&](std::size_t t) {
-    features[t] = workload::extract_features(grid.traces[t]);
-  });
-
-  // Grid points are independent simulations; the runner collects them in
-  // submission order for any worker count. Seeds stay `grid.seed + i` (not
+  // Cells are independent simulations; the runner collects them in
+  // submission order for any worker count. Seeds stay `seed + i` (not
   // runner::derive_seed) so datasets match those published by earlier PRs.
-  pool.run(points.size(), [&](std::size_t i) {
-    const Point point = points[i];
+  runner::SweepRunner pool(threads);
+  pool.run(samples.size(), [&](std::size_t i) {
+    Slot& slot = slots[i / per_trace];
+    std::call_once(slot.ready, [&] {
+      slot.trace = &source.trace(i / per_trace, slot.storage);
+      slot.features = workload::extract_features(*slot.trace);
+    });
+    const std::uint32_t weight = weight_ratios[i % per_trace];
     StandaloneOptions options;
-    options.weight_ratio = point.weight;
-    options.seed = grid.seed + i;
-    options.horizon = arrival_horizon(grid.traces[point.trace_index]);
-    const StandaloneResult result =
-        run_standalone(config, grid.traces[point.trace_index], options);
-    samples[i].x = tpm_row(features[point.trace_index],
-                           static_cast<double>(point.weight));
+    options.weight_ratio = weight;
+    options.seed = seed + i;
+    options.horizon = arrival_horizon(*slot.trace);
+    const StandaloneResult result = run_standalone(config, *slot.trace, options);
+    samples[i].x = tpm_row(slot.features, static_cast<double>(weight));
     samples[i].y = {result.read_rate.as_bytes_per_second(),
                     result.write_rate.as_bytes_per_second()};
+    if (slot.cells_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      slot.storage = workload::Trace();
+    }
   });
 
   ml::Dataset data(kTpmFeatureCount, 2);
   for (const auto& sample : samples) data.add(sample.x, sample.y);
   return data;
+}
+
+ml::Dataset collect_training_data(const ssd::SsdConfig& config,
+                                  const TrainingGrid& grid) {
+  const TraceSource lent{grid.traces.size(),
+                         [&grid](std::size_t t, workload::Trace&) -> const workload::Trace& {
+                           return grid.traces[t];
+                         }};
+  return collect_training_data(config, lent, grid.weight_ratios, grid.seed, grid.threads);
 }
 
 Tpm::Tpm(ml::ForestConfig forest) : is_forest_(true) {

@@ -10,6 +10,7 @@
 // Collection is embarrassingly parallel and runs across hardware threads.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -42,8 +43,26 @@ struct TrainingGrid {
   std::uint64_t seed = 1;
 };
 
-/// Replay every (trace, w) grid point on the standalone rig and emit one
-/// labelled sample per point.
+/// Where a collection reads its traces from. `trace(t, storage)` returns
+/// trace t: either a trace that outlives the collection, or one it
+/// generates into `storage`. The collection calls it once per trace, from
+/// the worker that reaches the trace's first cell, and frees `storage`
+/// after the trace's last cell, so a generated trace is held only while
+/// its cells replay.
+struct TraceSource {
+  std::size_t count = 0;
+  std::function<const workload::Trace&(std::size_t t, workload::Trace& storage)> trace;
+};
+
+/// Replay every (trace, w) cell on the standalone rig and emit one labelled
+/// sample per cell. Cell i is trace i / |w| at weight_ratios[i % |w|],
+/// seeded `seed + i`; the rows come in cell order for any thread count
+/// (0 = hardware concurrency).
+ml::Dataset collect_training_data(const ssd::SsdConfig& config, const TraceSource& source,
+                                  std::span<const std::uint32_t> weight_ratios,
+                                  std::uint64_t seed, std::size_t threads = 0);
+
+/// collect_training_data over the grid's stored traces.
 ml::Dataset collect_training_data(const ssd::SsdConfig& config,
                                   const TrainingGrid& grid);
 

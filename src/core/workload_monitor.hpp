@@ -20,7 +20,7 @@ class WorkloadMonitor {
   /// Record a request observed at time `when`.
   void observe(common::SimTime when, common::IoType type, std::uint64_t lba,
                std::uint32_t bytes) {
-    records_.push_back(workload::TraceRecord{when, type, lba, bytes});
+    records_.push_back(workload::TraceRecord{when, lba, bytes, type});
     prune(when);
   }
 

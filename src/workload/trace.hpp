@@ -16,12 +16,17 @@ namespace src::workload {
 using common::IoType;
 using common::SimTime;
 
+/// One request. The 1-byte type sits in the padding after `bytes`, so a
+/// record takes 24 bytes, not 32 (traces are the bulk of TPM training's
+/// memory). A brace-init in the older {arrival, type, lba, bytes} order
+/// puts the scoped enum where `lba` goes, so it does not compile.
 struct TraceRecord {
   SimTime arrival = 0;
-  IoType type = IoType::kRead;
   std::uint64_t lba = 0;
   std::uint32_t bytes = 0;
+  IoType type = IoType::kRead;
 };
+static_assert(sizeof(TraceRecord) == 24);
 
 using Trace = std::vector<TraceRecord>;
 

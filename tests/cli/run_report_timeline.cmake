@@ -1,7 +1,7 @@
 # The `timeline` of a `srcctl run --metrics-out` report holds the run's
 # per-bin series: its congestion signals sum to the run's
-# `fabric.congestion_signals` counter, and its read series has a bin for
-# every whole bin of `core.end_time_ms`.
+# `fabric.congestion_signals` counter, its three series have one length,
+# and its read series has a bin for every whole bin of `core.end_time_ms`.
 #
 #   cmake -DSRCCTL=<srcctl> -DMANIFEST=<manifest.json> -P run_report_timeline.cmake
 execute_process(COMMAND ${SRCCTL} run ${MANIFEST} --metrics-out run_report_timeline.json
@@ -29,6 +29,12 @@ message(STATUS "congestion signals: ${signals}")
 
 string(JSON bin_ns GET "${report}" timeline bin_ns)
 string(JSON read_bins LENGTH "${report}" timeline read_bytes)
+foreach(key write_bytes congestion_signals)
+  string(JSON bins LENGTH "${report}" timeline ${key})
+  if(NOT bins EQUAL read_bins)
+    message(FATAL_ERROR "timeline.${key} has ${bins} bins, read_bytes ${read_bins}")
+  endif()
+endforeach()
 string(JSON end_time_ms GET "${report}" metrics gauges core.end_time_ms)
 string(REGEX REPLACE "\\..*" "" whole_ms "${end_time_ms}")
 math(EXPR covered_ms "${read_bins} * ${bin_ns} / 1000000")

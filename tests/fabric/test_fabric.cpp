@@ -60,8 +60,8 @@ TEST(FabricTest, TraceReplayCompletes) {
   workload::Trace trace;
   for (int i = 0; i < 50; ++i) {
     trace.push_back({common::microseconds(20.0 * i),
-                     i % 3 == 0 ? IoType::kWrite : IoType::kRead,
-                     static_cast<std::uint64_t>(i) << 20, 16384});
+                     static_cast<std::uint64_t>(i) << 20, 16384,
+                     i % 3 == 0 ? IoType::kWrite : IoType::kRead});
   }
   rig.initiator->run_trace(trace, [&](const workload::TraceRecord&, std::size_t) {
     return rig.target->node_id();
@@ -179,7 +179,7 @@ TEST(FabricTest, MaxOutstandingBoundsInflight) {
 
   workload::Trace trace;
   for (int i = 0; i < 60; ++i) {
-    trace.push_back({0, IoType::kRead, static_cast<std::uint64_t>(i) << 20, 16384});
+    trace.push_back({0, static_cast<std::uint64_t>(i) << 20, 16384, IoType::kRead});
   }
   initiator.run_trace(trace, [&](const workload::TraceRecord&, std::size_t) {
     return target.node_id();

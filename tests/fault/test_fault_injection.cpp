@@ -184,8 +184,7 @@ TEST(FaultInjectionTest, WholeArrayOutageRecoversOnceTheWindowCloses) {
   workload::Trace trace;
   for (int i = 0; i < 40; ++i) {
     trace.push_back({static_cast<common::SimTime>(i) * kMillisecond,
-                     IoType::kRead, static_cast<std::uint64_t>(i) << 20,
-                     16384});
+                     static_cast<std::uint64_t>(i) << 20, 16384, IoType::kRead});
   }
   rig.initiator->run_trace(trace, [&](const workload::TraceRecord&,
                                       std::size_t) {
@@ -227,8 +226,8 @@ TEST(FaultInjectionTest, OutageOverlappingReStripedInFlightWork) {
   // guaranteed non-empty when the outage hits.
   workload::Trace trace;
   for (int i = 0; i < 60; ++i) {
-    trace.push_back({5 * kMillisecond, IoType::kRead,
-                     static_cast<std::uint64_t>(i) << 20, 65536});
+    trace.push_back({5 * kMillisecond, static_cast<std::uint64_t>(i) << 20, 65536,
+                     IoType::kRead});
   }
   rig.initiator->run_trace(trace, [&](const workload::TraceRecord&,
                                       std::size_t) {
@@ -335,8 +334,8 @@ ScenarioOutcome run_scenario(std::uint64_t seed) {
   workload::Trace trace;
   for (int i = 0; i < 200; ++i) {
     trace.push_back({common::microseconds(500.0 * i),
-                     i % 3 == 0 ? IoType::kWrite : IoType::kRead,
-                     static_cast<std::uint64_t>(i) << 20, 32768});
+                     static_cast<std::uint64_t>(i) << 20, 32768,
+                     i % 3 == 0 ? IoType::kWrite : IoType::kRead});
   }
   initiator.run_trace(trace, [&](const workload::TraceRecord&, std::size_t) {
     return target.node_id();

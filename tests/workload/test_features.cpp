@@ -32,8 +32,8 @@ TEST(FeaturesTest, ExtractFromMicroTrace) {
 }
 
 TEST(FeaturesTest, ExplicitWindowRescalesFlowSpeed) {
-  Trace trace{{common::microseconds(0), common::IoType::kRead, 0, 100'000},
-              {common::microseconds(10), common::IoType::kRead, 0, 100'000}};
+  Trace trace{{common::microseconds(0), 0, 100'000, common::IoType::kRead},
+              {common::microseconds(10), 0, 100'000, common::IoType::kRead}};
   // Observed span is 10 us, but the monitor window is 1 ms: flow speed must
   // use the window.
   const auto f = extract_features(trace, common::kMillisecond);

@@ -10,10 +10,10 @@ using common::microseconds;
 
 Trace tiny_trace() {
   return Trace{
-      {microseconds(0), IoType::kRead, 0, 4096},
-      {microseconds(10), IoType::kWrite, 8192, 8192},
-      {microseconds(20), IoType::kRead, 16384, 4096},
-      {microseconds(40), IoType::kRead, 0, 12288},
+      {microseconds(0), 0, 4096, IoType::kRead},
+      {microseconds(10), 8192, 8192, IoType::kWrite},
+      {microseconds(20), 16384, 4096, IoType::kRead},
+      {microseconds(40), 0, 12288, IoType::kRead},
   };
 }
 
@@ -45,8 +45,8 @@ TEST(TraceTest, EmptyTraceIsSafe) {
 }
 
 TEST(TraceTest, SingleTypeTrace) {
-  Trace trace{{microseconds(0), IoType::kWrite, 0, 4096},
-              {microseconds(5), IoType::kWrite, 4096, 4096}};
+  Trace trace{{microseconds(0), 0, 4096, IoType::kWrite},
+              {microseconds(5), 4096, 4096, IoType::kWrite}};
   const auto stats = analyze(trace);
   EXPECT_EQ(stats.read.count, 0u);
   EXPECT_EQ(stats.write.count, 2u);
@@ -54,9 +54,9 @@ TEST(TraceTest, SingleTypeTrace) {
 }
 
 TEST(TraceTest, MergePreservesOrderAndSize) {
-  const Trace a{{microseconds(0), IoType::kRead, 0, 4096},
-                {microseconds(20), IoType::kRead, 0, 4096}};
-  const Trace b{{microseconds(10), IoType::kWrite, 0, 4096}};
+  const Trace a{{microseconds(0), 0, 4096, IoType::kRead},
+                {microseconds(20), 0, 4096, IoType::kRead}};
+  const Trace b{{microseconds(10), 0, 4096, IoType::kWrite}};
   std::size_t next_a = 0;
   std::size_t next_b = 0;
   const Trace merged = merge_streams(
@@ -68,9 +68,9 @@ TEST(TraceTest, MergePreservesOrderAndSize) {
 }
 
 TEST(TraceTest, SortByArrivalIsStable) {
-  Trace trace{{microseconds(10), IoType::kRead, 1, 4096},
-              {microseconds(10), IoType::kWrite, 2, 4096},
-              {microseconds(0), IoType::kRead, 3, 4096}};
+  Trace trace{{microseconds(10), 1, 4096, IoType::kRead},
+              {microseconds(10), 2, 4096, IoType::kWrite},
+              {microseconds(0), 3, 4096, IoType::kRead}};
   sort_by_arrival(trace);
   EXPECT_EQ(trace[0].lba, 3u);
   EXPECT_EQ(trace[1].lba, 1u);  // stable: read before write at t=10

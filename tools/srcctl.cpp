@@ -408,22 +408,23 @@ int cmd_sweep(const Args& args) {
 /// The report's `timeline`: read and write bytes and congestion signals per
 /// bin, as the result holds them (Figs. 7 and 8). The result pads both
 /// throughput timelines to the whole bins of the run, but a completion in
-/// the last, partial bin adds one more to its own side only; the report
-/// pads the other side with a zero, so read and write share one span. A pod
-/// run records no timelines, so its series are empty.
+/// the last, partial bin adds one more to its own side only, and the signal
+/// timeline ends at its last signal; the report pads each series with zeros
+/// to the longest, so all three share one span. A pod run records no
+/// timelines, so its series are empty.
 obs::Json timeline_report(const core::ExperimentResult& result) {
   const common::ThroughputTimeline& reads = result.read_timeline;
   const common::ThroughputTimeline& writes = result.write_timeline;
+  const common::EventTimeline& pauses = result.pause_timeline;
   obs::Json read{obs::Json::Array{}};
   obs::Json write{obs::Json::Array{}};
-  const std::size_t bins = std::max(reads.bin_count(), writes.bin_count());
+  obs::Json signals{obs::Json::Array{}};
+  const std::size_t bins =
+      std::max({reads.bin_count(), writes.bin_count(), pauses.bin_count()});
   for (std::size_t i = 0; i < bins; ++i) {
     read.push_back(obs::Json{i < reads.bin_count() ? reads.bin_bytes(i) : 0});
     write.push_back(obs::Json{i < writes.bin_count() ? writes.bin_bytes(i) : 0});
-  }
-  obs::Json signals{obs::Json::Array{}};
-  for (std::size_t i = 0; i < result.pause_timeline.bin_count(); ++i) {
-    signals.push_back(obs::Json{result.pause_timeline.bin(i)});
+    signals.push_back(obs::Json{i < pauses.bin_count() ? pauses.bin(i) : 0});
   }
   obs::Json timeline{obs::Json::Object{}};
   timeline.set("bin_ns", obs::Json{reads.bin_width()});
@@ -971,7 +972,7 @@ std::string check_histogram(const obs::Json& hist) {
 }
 
 /// Validate a report's `timeline`: a positive integer `bin_ns` and three
-/// arrays of non-negative integers, the read and write series of one length.
+/// arrays of non-negative integers, all of one length.
 /// Returns an empty string when valid, else a message naming the key.
 std::string check_timeline(const obs::Json* timeline) {
   if (timeline == nullptr || !timeline->is_object()) {
@@ -994,10 +995,12 @@ std::string check_timeline(const obs::Json* timeline) {
     }
   }
   const std::size_t reads = timeline->find("read_bytes")->as_array().size();
-  const std::size_t writes = timeline->find("write_bytes")->as_array().size();
-  if (reads != writes) {
-    return "timeline: read_bytes has " + std::to_string(reads) +
-           " bins, write_bytes " + std::to_string(writes);
+  for (const char* key : {"write_bytes", "congestion_signals"}) {
+    const std::size_t bins = timeline->find(key)->as_array().size();
+    if (bins != reads) {
+      return "timeline: read_bytes has " + std::to_string(reads) + " bins, " + key + " " +
+             std::to_string(bins);
+    }
   }
   return "";
 }
