@@ -92,7 +92,7 @@ class FlatMap64 {
   };
 
   /// splitmix64 finalizer: full-avalanche mix of the key (flow keys and
-  /// message ids are near-sequential, so identity hashing would cluster).
+  /// flow ids are near-sequential, so identity hashing would cluster).
   static std::uint64_t mix(std::uint64_t x) {
     x += 0x9E3779B97F4A7C15ull;
     x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;

@@ -56,18 +56,14 @@ std::uint32_t Host::flow_index_to(NodeId dst, std::uint32_t channel) {
   return index;
 }
 
-std::uint64_t Host::send_message(NodeId dst, std::uint64_t bytes, std::uint32_t tag,
-                                 std::uint32_t channel, MessageHeader header) {
+void Host::send_message(NodeId dst, std::uint64_t bytes, std::uint32_t tag,
+                        std::uint32_t channel, MessageHeader header) {
   const std::uint32_t index = flow_index_to(dst, channel);
-  // No packet carries the message id, but it is still minted: flow ids
-  // come from the same counter and ECMP hashes them.
-  const std::uint64_t message_id = ++next_id_;
   flows_[index].messages.push_back(Message{bytes, tag, header});
   flow_queued_bytes_[index] += bytes;
   ++flow_msg_count_[index];
   ++stats_.messages_sent;
   pump();
-  return message_id;
 }
 
 void Host::pump() {

@@ -65,18 +65,18 @@ class Host final : public Node {
   /// DCQCN changed the send rate of the flow to `dst`.
   using RateChangeHandler = std::function<void(NodeId dst, Rate rate, bool decrease)>;
 
-  /// Flow and message ids are minted per host (see `id_base`).
+  /// Flow ids are minted per host (see `id_base`).
   Host(sim::Simulator& sim, NodeId id, std::string name, NetConfig config)
       : Node(sim, id, std::move(name)), config_(config), next_id_(id_base(id)) {}
 
-  /// Queue a message of `bytes` payload to `dst`. Returns the message id.
+  /// Queue a message of `bytes` payload to `dst`.
   /// `channel` selects an independent flow (its own DCQCN state and send
   /// queue) to the same destination — NVMe-oF keeps command capsules and
   /// bulk data on separate queue pairs so small capsules are not stuck
   /// behind throttled payload traffic. `header` rides every fragment and
   /// reaches the receiver's message handler.
-  std::uint64_t send_message(NodeId dst, std::uint64_t bytes, std::uint32_t tag = 0,
-                             std::uint32_t channel = 0, MessageHeader header = {});
+  void send_message(NodeId dst, std::uint64_t bytes, std::uint32_t tag = 0,
+                    std::uint32_t channel = 0, MessageHeader header = {});
 
   void receive(Packet packet, std::int32_t ingress_port) override;
 
@@ -147,7 +147,7 @@ class Host final : public Node {
   void send_delay_ack(const Packet& data);
 
   NetConfig config_;
-  std::uint64_t next_id_;  ///< last flow or message id minted
+  std::uint64_t next_id_;  ///< last flow id minted
   std::vector<std::pair<NodeId, int>> peer_cc_;  ///< sorted by NodeId
 
   // Flow arena (creation order, never erased) + per-packet demux indices.

@@ -24,7 +24,6 @@ NodeId Network::add_host(std::string name, std::uint16_t shard) {
                                           std::move(name), config_));
   host_flags_.push_back(true);
   node_shard_.push_back(shard);
-  adjacency_.emplace_back();
   return id;
 }
 
@@ -35,7 +34,6 @@ NodeId Network::add_switch(std::string name, std::uint16_t shard) {
       std::make_unique<Switch>(lanes_.kernel(shard), id, std::move(name), config_));
   host_flags_.push_back(false);
   node_shard_.push_back(shard);
-  adjacency_.emplace_back();
   return id;
 }
 
@@ -57,8 +55,6 @@ void Network::connect(NodeId a, NodeId b, Rate rate, SimTime delay) {
     port_b.set_lane_channel(&lanes_, node_shard_[b], node_shard_[a]);
     min_cross_shard_delay_ = std::min(min_cross_shard_delay_, delay);
   }
-  adjacency_[a].push_back(Edge{b, static_cast<std::size_t>(port_a.index())});
-  adjacency_[b].push_back(Edge{a, static_cast<std::size_t>(port_b.index())});
 }
 
 void Network::finalize() {
@@ -68,41 +64,45 @@ void Network::finalize() {
     lanes_.set_lookahead(min_cross_shard_delay_);
   }
 
-  // Shortest-path next hops with ECMP: BFS rooted at each host
-  // destination; every neighbour one hop closer to the destination is an
-  // equal-cost next hop, and flows are hashed across them at the switch.
-  for (NodeId dst = 0; dst < nodes_.size(); ++dst) {
-    if (!host_flags_[dst]) continue;
-    std::vector<int> dist(nodes_.size(), -1);
-    std::queue<NodeId> frontier;
-    dist[dst] = 0;
-    frontier.push(dst);
-    while (!frontier.empty()) {
-      const NodeId current = frontier.front();
-      frontier.pop();
-      for (const Edge& edge : adjacency_[current]) {
-        if (dist[edge.peer] != -1) continue;
-        dist[edge.peer] = dist[current] + 1;
-        frontier.push(edge.peer);
-      }
-    }
-    for (NodeId n = 0; n < nodes_.size(); ++n) {
-      if (host_flags_[n] || dist[n] < 0 || n == dst) continue;
-      for (const Edge& edge : adjacency_[n]) {
-        if (dist[edge.peer] == dist[n] - 1) {
-          switch_at(n).add_route(dst, static_cast<std::int32_t>(edge.local_port));
-        }
-      }
-    }
-  }
-
   for (NodeId n = 0; n < nodes_.size(); ++n) {
     if (host_flags_[n]) {
       auto& h = host(n);
       if (h.port_count() == 0) continue;
       h.port(0).on_tx_done = [&h] { h.kick(); };
     } else {
-      switch_at(n).finalize_ports();
+      switch_at(n).finalize_ports(nodes_.size());
+    }
+  }
+
+  // Shortest-path next hops: BFS rooted at each host destination; each
+  // switch forwards through its first port (in connection order) whose
+  // peer is one hop closer. On a tree that peer is the only one.
+  std::vector<int> dist(nodes_.size());
+  std::queue<NodeId> frontier;
+  for (NodeId dst = 0; dst < nodes_.size(); ++dst) {
+    if (!host_flags_[dst]) continue;
+    std::fill(dist.begin(), dist.end(), -1);
+    dist[dst] = 0;
+    frontier.push(dst);
+    while (!frontier.empty()) {
+      const Node& current = *nodes_[frontier.front()];
+      frontier.pop();
+      for (std::size_t i = 0; i < current.port_count(); ++i) {
+        const NodeId peer = current.port(i).peer()->id();
+        if (dist[peer] != -1) continue;
+        dist[peer] = dist[current.id()] + 1;
+        frontier.push(peer);
+      }
+    }
+    for (NodeId n = 0; n < nodes_.size(); ++n) {
+      if (host_flags_[n] || dist[n] < 0) continue;
+      Switch& sw = switch_at(n);
+      for (std::size_t i = 0; i < sw.port_count(); ++i) {
+        if (dist[sw.port(i).peer()->id()] == dist[n] - 1) {
+          sw.set_route(dst, static_cast<std::int32_t>(i));
+          break;
+        }
+      }
     }
   }
 }

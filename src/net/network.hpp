@@ -1,13 +1,13 @@
 // Network container and builder: owns hosts and switches, wires up links,
-// and computes static shortest-path routes (BFS, deterministic tie-break
-// by adjacency insertion order).
+// and computes static shortest-path routes: one egress port per switch and
+// destination host (BFS; on a tie, the first port in connection order).
 //
 // The network runs on a sim::LaneGroup: every node names its shard at
 // creation and runs on that shard's kernel (a one-shard group puts every
 // node on one kernel). Links between shards become lane-boundary mailbox
 // channels (Port::set_lane_channel) and finalize() hands the minimum
 // cross-shard propagation delay to the group as its conservative
-// lookahead. Each host mints its own flow/message ids (`id_base` in
+// lookahead. Each host mints its own flow ids (`id_base` in
 // net/packet.hpp): globally unique without cross-shard mutable state.
 #pragma once
 
@@ -58,11 +58,6 @@ class Network {
   std::uint64_t total_host_pauses() const;
 
  private:
-  struct Edge {
-    NodeId peer;
-    std::size_t local_port;
-  };
-
   std::uint16_t checked_shard(std::uint16_t shard) const;
 
   sim::LaneGroup& lanes_;
@@ -70,7 +65,6 @@ class Network {
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<bool> host_flags_;
   std::vector<std::uint16_t> node_shard_;
-  std::vector<std::vector<Edge>> adjacency_;
   SimTime min_cross_shard_delay_ = common::kTimeInfinity;
   bool finalized_ = false;
 };

@@ -22,8 +22,8 @@ enum class PacketKind : std::uint8_t {
   kDelayAck = 4, ///< timestamp echo for delay-based CC (routed to sender)
 };
 
-/// Every flow and message id is minted by its sending host from one
-/// counter as (node + 1) << 40 | n: unique network-wide with no shared
+/// Every flow id is minted by its sending host from one counter as
+/// (node + 1) << 40 | n: unique network-wide with no shared
 /// counter, and the sender of any packet is recoverable from its flow id.
 /// `id_base` is the counter's start (minted ids lie above it) and
 /// `sender_of` its inverse; switch-made frames carry flow id 0, whose

@@ -6,7 +6,8 @@
 
 namespace src::net {
 
-void Switch::finalize_ports() {
+void Switch::finalize_ports(std::size_t node_count) {
+  routes_.assign(node_count, -1);
   ingress_bytes_.assign(port_count(), 0);
   pause_sent_.assign(port_count(), false);
   for (std::size_t i = 0; i < port_count(); ++i) {
@@ -32,7 +33,7 @@ void Switch::receive(Packet packet, std::int32_t ingress_port) {
       break;
   }
 
-  const std::int32_t egress = route(packet.dst, packet.flow_id);
+  const std::int32_t egress = route(packet.dst);
   if (egress < 0) {
     throw std::runtime_error(name() + ": no route to node " +
                              std::to_string(packet.dst));

@@ -1,8 +1,8 @@
 // Output-queued switch with ECN marking at egress enqueue and PFC
 // (priority flow control) driven by per-ingress-port buffered-byte
 // accounting: above X_off the switch pauses the upstream device on that
-// ingress link; below X_on it resumes it. Routing is a static next-hop
-// table (destination node -> egress port) computed by the Network builder.
+// ingress link; below X_on it resumes it. Routing is a static table of one
+// egress port per destination node, computed by the Network builder.
 #pragma once
 
 #include <cstdint>
@@ -28,30 +28,17 @@ class Switch final : public Node {
 
   void receive(Packet packet, std::int32_t ingress_port) override;
 
-  /// Add an equal-cost egress port toward destination node `dst` (ECMP:
-  /// flows are hashed across all registered next hops; one packet flow
-  /// always takes one path, so FIFO delivery per flow is preserved).
-  void add_route(NodeId dst, std::int32_t egress_port) {
-    if (dst >= routes_.size()) routes_.resize(dst + 1);
-    routes_[dst].push_back(egress_port);
-  }
-  /// Next hop for a flow (ECMP hash over the flow id). -1 if unroutable.
-  std::int32_t route(NodeId dst, std::uint64_t flow_id) const {
-    if (dst >= routes_.size() || routes_[dst].empty()) return -1;
-    const auto& ports = routes_[dst];
-    if (ports.size() == 1) return ports[0];
-    // splitmix-style avalanche so consecutive flow ids spread evenly.
-    std::uint64_t h = flow_id + 0x9E3779B97F4A7C15ull;
-    h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ull;
-    h = (h ^ (h >> 27)) * 0x94D049BB133111EBull;
-    return ports[h % ports.size()];
-  }
-  std::size_t route_count(NodeId dst) const {
-    return dst < routes_.size() ? routes_[dst].size() : 0;
+  /// Send packets for destination node `dst` out of `egress_port`. The
+  /// table must have been sized by finalize_ports.
+  void set_route(NodeId dst, std::int32_t egress_port) { routes_.at(dst) = egress_port; }
+  /// Egress port toward `dst`, or -1 if unroutable.
+  std::int32_t route(NodeId dst) const {
+    return dst < routes_.size() ? routes_[dst] : -1;
   }
 
-  /// Called by the Network builder once all ports exist.
-  void finalize_ports();
+  /// Called by the Network builder once all ports exist: wires the port
+  /// hooks and sizes the route table for `node_count` nodes, all unroutable.
+  void finalize_ports(std::size_t node_count);
 
   const SwitchStats& stats() const { return stats_; }
   std::uint64_t ingress_buffered_bytes(std::size_t ingress) const {
@@ -63,7 +50,7 @@ class Switch final : public Node {
   void check_pause(std::size_t ingress);
 
   NetConfig config_;
-  std::vector<std::vector<std::int32_t>> routes_;
+  std::vector<std::int32_t> routes_;  ///< egress port per destination node
   std::vector<std::uint64_t> ingress_bytes_;
   std::vector<bool> pause_sent_;
   SwitchStats stats_;

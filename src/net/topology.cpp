@@ -46,7 +46,7 @@ PodTopology make_pod(Network& net, const PodGrammar& grammar,
 
   // Creation order (spine, then per pod: agg, then per rack: ToR + hosts) is
   // part of the grammar's contract: node ids — and with them host id-cell
-  // bases and adjacency insertion order — are a pure function of the counts.
+  // bases and port order — are a pure function of the counts.
   topo.spine = net.add_switch("spine", topo.plan.spine_shard());
   for (std::size_t p = 0; p < grammar.pods; ++p) {
     const NodeId agg =

@@ -29,7 +29,7 @@ StarTopology make_star(Network& net, std::size_t n_hosts, Rate link_rate,
 // rates are either given explicitly or derived from the oversubscription
 // ratio (uplink = downlink_sum / oversubscription). The tree has a single
 // path between any two hosts, so routing — and therefore results — cannot
-// depend on flow-id hashing or shard layout.
+// depend on shard layout.
 // ---------------------------------------------------------------------------
 
 struct PodGrammar {

@@ -22,13 +22,14 @@ std::string strip(const std::string& s) {
   return s.substr(first, last - first + 1);
 }
 
-[[noreturn]] void fail(std::size_t line, const std::string& what) {
-  throw std::runtime_error("trace csv line " + std::to_string(line) + ": " + what);
+[[noreturn]] void fail(const std::string& source, std::size_t line,
+                       const std::string& what) {
+  throw std::runtime_error(source + ":" + std::to_string(line) + ": " + what);
 }
 
 }  // namespace
 
-Trace read_csv_trace(std::istream& in) {
+Trace read_csv_trace(std::istream& in, const std::string& source) {
   Trace trace;
   std::string line;
   std::size_t line_number = 0;
@@ -43,10 +44,10 @@ Trace read_csv_trace(std::istream& in) {
     std::stringstream row(trimmed);
     std::string cell;
     while (std::getline(row, cell, ',')) {
-      if (field >= fields.size()) fail(line_number, "too many columns");
+      if (field >= fields.size()) fail(source, line_number, "too many columns");
       fields[field++] = strip(cell);
     }
-    if (field != fields.size()) fail(line_number, "expected 4 columns");
+    if (field != fields.size()) fail(source, line_number, "expected 4 columns");
 
     // Tolerate one header line (first column does not start numerically).
     const char first = fields[0].empty() ? '\0' : fields[0][0];
@@ -68,17 +69,17 @@ Trace read_csv_trace(std::istream& in) {
       } else if (op == "w" || op == "write") {
         rec.type = IoType::kWrite;
       } else {
-        fail(line_number, "unknown op '" + fields[1] + "'");
+        fail(source, line_number, "unknown op '" + fields[1] + "'");
       }
       rec.lba = std::stoull(fields[2]);
       rec.bytes = static_cast<std::uint32_t>(std::stoul(fields[3]));
     } catch (const std::invalid_argument&) {
-      fail(line_number, "malformed number");
+      fail(source, line_number, "malformed number");
     } catch (const std::out_of_range&) {
-      fail(line_number, "number out of range");
+      fail(source, line_number, "number out of range");
     }
-    if (rec.bytes == 0) fail(line_number, "zero-byte request");
-    if (rec.arrival < 0) fail(line_number, "negative timestamp");
+    if (rec.bytes == 0) fail(source, line_number, "zero-byte request");
+    if (rec.arrival < 0) fail(source, line_number, "negative timestamp");
     trace.push_back(rec);
   }
   sort_by_arrival(trace);
@@ -87,8 +88,8 @@ Trace read_csv_trace(std::istream& in) {
 
 Trace read_csv_trace_file(const std::string& path) {
   std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open trace file: " + path);
-  return read_csv_trace(in);
+  if (!in) throw std::runtime_error(path + ": cannot open trace file");
+  return read_csv_trace(in, path);
 }
 
 void write_csv_trace(std::ostream& out, const Trace& trace) {

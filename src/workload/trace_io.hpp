@@ -17,11 +17,12 @@
 namespace src::workload {
 
 /// Parse a CSV trace from a stream. Throws std::runtime_error with a
-/// line-numbered message on malformed input. The result is sorted by
-/// arrival time.
-Trace read_csv_trace(std::istream& in);
+/// `<source>:<line>: <what>` message on malformed input. The result is
+/// sorted by arrival time.
+Trace read_csv_trace(std::istream& in, const std::string& source = "trace csv");
 
-/// Parse a CSV trace from a file. Throws on I/O or parse errors.
+/// Parse a CSV trace from a file. Throws on I/O or parse errors, naming
+/// `path` in the message.
 Trace read_csv_trace_file(const std::string& path);
 
 /// Serialize a trace (with a header line).

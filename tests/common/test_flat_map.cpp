@@ -72,7 +72,7 @@ TEST(FlatMap64Test, GrowthPreservesAllEntries) {
 }
 
 TEST(FlatMap64Test, BackwardShiftEraseKeepsProbeChainsIntact) {
-  // Near-sequential keys (the real workload: flow ids, message ids) create
+  // Near-sequential keys (the real workload: flow keys and ids) create
   // probe chains; erase from the middle of chains repeatedly and verify
   // against std::map as the oracle.
   FlatMap64<std::uint64_t> map;

@@ -247,10 +247,10 @@ TEST(PortSwitchTest, IngressPortScrubbedWhenPacketLeavesEachSwitch) {
   s2_up.attach(&s1, 1, Rate::gbps(10.0), common::kMicrosecond);
   s2_down.attach(&sink, 0, Rate::gbps(10.0), common::kMicrosecond);
   sink_up.attach(&s2, 1, Rate::gbps(10.0), common::kMicrosecond);
-  s1.add_route(3, 1);
-  s2.add_route(3, 1);
-  s1.finalize_ports();
-  s2.finalize_ports();
+  s1.finalize_ports(4);
+  s2.finalize_ports(4);
+  s1.set_route(3, 1);
+  s2.set_route(3, 1);
 
   Packet packet;
   packet.kind = PacketKind::kData;

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
+#include <string>
 
 #include "workload/micro.hpp"
 
@@ -80,6 +83,28 @@ TEST(TraceIoTest, FileRoundTrip) {
   write_csv_trace_file(path, original);
   const Trace parsed = read_csv_trace_file(path);
   EXPECT_EQ(parsed.size(), original.size());
+}
+
+TEST(TraceIoTest, FileErrorsNameThePathAndLine) {
+  const std::string path = ::testing::TempDir() + "/trace_io_bad.csv";
+  auto message_for = [&](const char* text) {
+    {
+      std::ofstream out(path);
+      out << text;
+    }
+    try {
+      read_csv_trace_file(path);
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_EQ(message_for("0,R,4096\n"), path + ":1: expected 4 columns");
+  EXPECT_EQ(message_for("timestamp_us,op,lba,bytes\n0,R,0,0\n"),
+            path + ":2: zero-byte request");
+  EXPECT_EQ(message_for("# header\n0,R,0,4096\n\n5,X,0,4096\n"),
+            path + ":4: unknown op 'X'");
+  std::remove(path.c_str());
 }
 
 TEST(TraceIoTest, MissingFileThrows) {
