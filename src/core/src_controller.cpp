@@ -1,32 +1,22 @@
 #include "core/src_controller.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
-#include <limits>
-#include <span>
 
 #include "obs/obs.hpp"
 
 namespace src::core {
 
-bool SrcController::sane_prediction(const workload::WorkloadFeatures& ch,
-                                    double weight, TpmPrediction& out) const {
-  return validate_prediction(tpm_.predict(ch, weight), out);
-}
-
-bool SrcController::validate_prediction(TpmPrediction prediction,
-                                        TpmPrediction& out) const {
-  if (prediction_hook_) prediction = prediction_hook_(prediction);
-  if (!std::isfinite(prediction.read_bytes_per_sec) ||
-      prediction.read_bytes_per_sec < 0.0 ||
-      prediction.read_bytes_per_sec > params_.max_sane_throughput) {
+std::optional<double> SrcController::sane_prediction(
+    const workload::WorkloadFeatures& ch, std::uint32_t w) const {
+  double read = tpm_.predict_read(ch, static_cast<double>(w));
+  if (prediction_hook_) read = prediction_hook_(read);
+  if (!std::isfinite(read) || read < 0.0 || read > params_.max_sane_throughput) {
     ++stats_.rejected_predictions;
     SRC_OBS_COUNT("src.rejected_predictions");
-    return false;
+    return std::nullopt;
   }
-  out = prediction;
-  return true;
+  return read;
 }
 
 std::uint32_t SrcController::predict_weight_ratio(
@@ -44,59 +34,36 @@ std::uint32_t SrcController::predict_weight_ratio(
   std::uint32_t w = 1;
   std::uint32_t w_star = 1;
 
-  // Algorithm 1 walks consecutive candidate weights, so raw model
-  // inference is batched in blocks: one tree-major pass over the forest's
-  // flat node array serves kBlock candidates. The fault hook, guardrails
-  // and rejection accounting stay sequential and are applied only to the
-  // candidates the search actually visits, in visit order — the search is
-  // decision-for-decision identical to the unbatched loop.
-  constexpr std::uint32_t kBlock = 4;
-  std::array<double, kBlock> block_ws{};
-  std::array<TpmPrediction, kBlock> block_raw{};
-  std::uint32_t block_lo = 0;  // first w in block_raw; 0 = no block yet
-  const auto raw_prediction = [&](std::uint32_t candidate) {
-    if (block_lo == 0 || candidate < block_lo || candidate >= block_lo + kBlock) {
-      block_lo = candidate;
-      const auto count = static_cast<std::size_t>(
-          std::min(kBlock, params_.max_weight_ratio - candidate + 1));
-      for (std::size_t i = 0; i < count; ++i) {
-        block_ws[i] = static_cast<double>(candidate + i);
-      }
-      tpm_.predict_batch(ch, std::span{block_ws.data(), count},
-                         std::span{block_raw.data(), count});
-    }
-    return block_raw[candidate - block_lo];
-  };
-
   // Line 14: predict at w = 1.
-  TpmPrediction prediction;
-  if (!validate_prediction(raw_prediction(w), prediction)) return current_w_;
+  const std::optional<double> at_one = sane_prediction(ch, w);
+  if (!at_one) return current_w_;
 
   // Lines 15-17: if the SSD cannot even reach r at equal priority, no
   // throttling is needed.
-  if (prediction.read_bytes_per_sec < demanded) return w;
+  if (*at_one < demanded) return w;
 
   // Line 18.
-  double min_dis = std::abs(prediction.read_bytes_per_sec - demanded);
+  double min_dis = std::abs(*at_one - demanded);
 
   // Lines 19-28: increase w until the predicted read throughput converges.
   double prev_tput = 0.0;
-  double cur_tput = prediction.read_bytes_per_sec;
+  double cur_tput = *at_one;
   do {
     ++w;
     if (w > params_.max_weight_ratio) break;
     prev_tput = cur_tput;
-    if (!validate_prediction(raw_prediction(w), prediction)) {
+    const std::optional<double> read = sane_prediction(ch, w);
+    if (!read) {
       // Model went insane mid-search: act on the best point validated so
       // far rather than discarding the whole search.
       return w_star;
     }
-    const double dis = std::abs(prediction.read_bytes_per_sec - demanded);
+    const double dis = std::abs(*read - demanded);
     if (dis < min_dis) {
       min_dis = dis;
       w_star = w;
     }
-    cur_tput = prediction.read_bytes_per_sec;
+    cur_tput = *read;
   } while (prev_tput > 0.0 &&
            std::abs(prev_tput - cur_tput) / prev_tput >= params_.tau);
 

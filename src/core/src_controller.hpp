@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "core/tpm.hpp"
@@ -70,9 +71,10 @@ struct SrcControllerStats {
 class SrcController {
  public:
   using WeightSetter = std::function<void(std::uint32_t weight_ratio)>;
-  /// Fault-injection hook: corrupts TPM predictions before the guardrails
-  /// see them (the guardrails are the code under test).
-  using PredictionHook = std::function<TpmPrediction(const TpmPrediction&)>;
+  /// Fault-injection hook: maps each predicted read throughput (bytes/sec)
+  /// before the guardrails see it (the guardrails are the code under
+  /// test). Called once per candidate weight the search visits.
+  using PredictionHook = std::function<double(double read_bytes_per_sec)>;
 
   SrcController(const Tpm& tpm, WorkloadMonitor& monitor, SrcParams params = {})
       : tpm_(tpm), monitor_(monitor), params_(params) {}
@@ -103,14 +105,11 @@ class SrcController {
   const SrcControllerStats& stats() const { return stats_; }
 
  private:
-  /// Predict through the fault hook (if any) and validate; returns false
-  /// when the prediction must not be acted upon.
-  bool sane_prediction(const workload::WorkloadFeatures& ch, double weight,
-                       TpmPrediction& out) const;
-  /// Validation half of sane_prediction, applied to a raw model prediction
-  /// (batched search path): fault hook, finiteness and range guardrails,
-  /// rejection accounting.
-  bool validate_prediction(TpmPrediction prediction, TpmPrediction& out) const;
+  /// Predicted read throughput at weight w, through the fault hook (if
+  /// any) and the finiteness and range guardrails; nullopt (counted in
+  /// rejected_predictions) when it must not be acted upon.
+  std::optional<double> sane_prediction(const workload::WorkloadFeatures& ch,
+                                        std::uint32_t w) const;
 
   const Tpm& tpm_;
   WorkloadMonitor& monitor_;

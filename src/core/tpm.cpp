@@ -1,6 +1,7 @@
 #include "core/tpm.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <fstream>
 #include <mutex>
@@ -104,6 +105,15 @@ TpmPrediction Tpm::predict(const workload::WorkloadFeatures& ch, double w) const
   const std::vector<double> row = tpm_row(ch, w);
   const std::vector<double> out = model_->predict(row);
   return TpmPrediction{out[0], out[1]};
+}
+
+double Tpm::predict_read(const workload::WorkloadFeatures& ch, double w) const {
+  if (!fitted_) throw std::runtime_error("Tpm: not fitted");
+  std::array<double, kTpmFeatureCount> row;
+  const auto features = ch.as_array();
+  std::copy(features.begin(), features.end(), row.begin());
+  row.back() = w;
+  return model_->model(0).predict(row);
 }
 
 void Tpm::predict_batch(const workload::WorkloadFeatures& ch,

@@ -78,10 +78,14 @@ class Tpm {
 
   TpmPrediction predict(const workload::WorkloadFeatures& ch, double w) const;
 
+  /// Predicted read throughput alone: walks the read model only, on a
+  /// stack row. Bit-identical to predict(ch, w).read_bytes_per_sec;
+  /// Algorithm 1 reads nothing else.
+  double predict_read(const workload::WorkloadFeatures& ch, double w) const;
+
   /// Predict the same workload at several candidate weight ratios in one
-  /// batched pass per target model (Algorithm 1 evaluates a run of
-  /// consecutive w values per congestion event). Each entry is
-  /// bit-identical to predict(ch, ws[i]).
+  /// batched pass per target model. Each entry is bit-identical to
+  /// predict(ch, ws[i]).
   void predict_batch(const workload::WorkloadFeatures& ch,
                      std::span<const double> ws,
                      std::span<TpmPrediction> out) const;

@@ -196,30 +196,29 @@ void FaultInjector::install_prediction_hooks() {
   }
   for (const std::size_t index : hooked) {
     controllers_[index]->set_prediction_hook(
-        [this, index](const core::TpmPrediction& p) { return corrupt(index, p); });
+        [this, index](double read) { return corrupt(index, read); });
   }
 }
 
-core::TpmPrediction FaultInjector::corrupt(std::size_t controller_index,
-                                           const core::TpmPrediction& prediction) {
+double FaultInjector::corrupt(std::size_t controller_index, double read_bytes_per_sec) {
   const NodeId node = controller_nodes_[controller_index];
   const SimTime now = network_.kernel_of(node).now();
-  core::TpmPrediction out = prediction;
+  double out = read_bytes_per_sec;
   for (const auto& f : plan_.tpm_faults) {
     if (f.controller != controller_index) continue;
     if (now < f.start || now >= f.end) continue;
     switch (f.kind) {
       case TpmFaultKind::kNan:
-        out.read_bytes_per_sec = std::numeric_limits<double>::quiet_NaN();
+        out = std::numeric_limits<double>::quiet_NaN();
         break;
       case TpmFaultKind::kInf:
-        out.read_bytes_per_sec = std::numeric_limits<double>::infinity();
+        out = std::numeric_limits<double>::infinity();
         break;
       case TpmFaultKind::kNegative:
-        out.read_bytes_per_sec = -1.0e9;
+        out = -1.0e9;
         break;
       case TpmFaultKind::kHuge:
-        out.read_bytes_per_sec = 1.0e30;
+        out = 1.0e30;
         break;
     }
     ++shard_of(node).stats.tpm_corruptions;

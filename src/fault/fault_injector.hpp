@@ -82,8 +82,7 @@ class FaultInjector {
   void schedule_device_faults();
   void schedule_signal_loss();
   void install_prediction_hooks();
-  core::TpmPrediction corrupt(std::size_t controller_index,
-                              const core::TpmPrediction& prediction);
+  double corrupt(std::size_t controller_index, double read_bytes_per_sec);
 
   net::Network& network_;
   FaultPlan plan_;

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <limits>
+#include <memory>
+#include <optional>
 
+#include "common/rng.hpp"
 #include "core/presets.hpp"
 #include "workload/micro.hpp"
 
@@ -179,11 +184,8 @@ TEST(ControllerTest, MaxWeightRatioOfOneSaturatesImmediately) {
 TEST(ControllerTest, NanPredictionFallsBackToCurrentWeight) {
   Rig rig;
   SrcController ctl(rig.tpm, rig.monitor);
-  ctl.set_prediction_hook([](const TpmPrediction& p) {
-    TpmPrediction bad = p;
-    bad.read_bytes_per_sec = std::numeric_limits<double>::quiet_NaN();
-    return bad;
-  });
+  ctl.set_prediction_hook(
+      [](double) { return std::numeric_limits<double>::quiet_NaN(); });
   EXPECT_EQ(ctl.predict_weight_ratio(1e8, rig.heavy_ch), 1u);
   EXPECT_GT(ctl.stats().rejected_predictions, 0u);
 }
@@ -191,11 +193,7 @@ TEST(ControllerTest, NanPredictionFallsBackToCurrentWeight) {
 TEST(ControllerTest, AbsurdPredictionIsRejected) {
   Rig rig;
   SrcController ctl(rig.tpm, rig.monitor);
-  ctl.set_prediction_hook([](const TpmPrediction& p) {
-    TpmPrediction bad = p;
-    bad.read_bytes_per_sec = 1e30;  // > max_sane_throughput
-    return bad;
-  });
+  ctl.set_prediction_hook([](double) { return 1e30; });  // > max_sane_throughput
   EXPECT_EQ(ctl.predict_weight_ratio(1e8, rig.heavy_ch), 1u);
   EXPECT_GT(ctl.stats().rejected_predictions, 0u);
 }
@@ -206,11 +204,7 @@ TEST(ControllerTest, MidSearchInsanityReturnsBestValidatedWeight) {
   // The first prediction (w=1) passes; everything after goes insane, so
   // only w=1 is ever validated and the search must settle there.
   int calls = 0;
-  ctl.set_prediction_hook([&calls](const TpmPrediction& p) {
-    TpmPrediction out = p;
-    if (++calls > 1) out.read_bytes_per_sec = -1.0;
-    return out;
-  });
+  ctl.set_prediction_hook([&calls](double read) { return ++calls > 1 ? -1.0 : read; });
   const double demanded =
       rig.tpm.predict(rig.heavy_ch, 1.0).read_bytes_per_sec * 0.3;
   EXPECT_EQ(ctl.predict_weight_ratio(demanded, rig.heavy_ch), 1u);
@@ -269,6 +263,157 @@ TEST(ControllerTest, FreshSignalArmsWatchdogTimer) {
   // A debounced (ignored) event still proves the signal path is alive.
   ctl.on_congestion_event(10 * common::kMillisecond + 100, 1e9, true);
   EXPECT_EQ(ctl.last_signal_time(), 10 * common::kMillisecond + 100);
+}
+
+// --- Differential check of the search against Algorithm 1 as written.
+
+struct SearchOutcome {
+  std::uint32_t w = 0;
+  std::uint64_t rejected = 0;
+};
+
+// Lines 11-29 of Algorithm 1 over the full Tpm::predict, with the
+// controller's guardrails (a rejected prediction at w = 1 keeps the
+// current weight, 1 here; a later one returns the best weight so far).
+SearchOutcome reference_search(const Tpm& tpm, const SrcParams& params, double r,
+                               const workload::WorkloadFeatures& ch,
+                               const SrcController::PredictionHook& hook) {
+  SearchOutcome out;
+  const auto predict = [&](std::uint32_t w) -> std::optional<double> {
+    double read = tpm.predict(ch, static_cast<double>(w)).read_bytes_per_sec;
+    if (hook) read = hook(read);
+    if (!std::isfinite(read) || read < 0.0 || read > params.max_sane_throughput) {
+      ++out.rejected;
+      return std::nullopt;
+    }
+    return read;
+  };
+  out.w = 1;
+  const std::optional<double> first = predict(1);
+  if (!first || *first < r) return out;
+  double min_dis = std::abs(*first - r);
+  double prev = *first;
+  for (std::uint32_t w = 2; w <= params.max_weight_ratio; ++w) {
+    const std::optional<double> tput = predict(w);
+    if (!tput) return out;
+    if (std::abs(*tput - r) < min_dis) {
+      min_dis = std::abs(*tput - r);
+      out.w = w;
+    }
+    if (!(prev > 0.0) || std::abs(prev - *tput) / prev < params.tau) break;
+    prev = *tput;
+  }
+  return out;
+}
+
+// A hook that passes predictions through and answers NaN on its k-th call
+// (k = 0: never).
+SrcController::PredictionHook reject_kth_call(int k, int& calls) {
+  calls = 0;
+  return [k, &calls](double read) {
+    return ++calls == k ? std::numeric_limits<double>::quiet_NaN() : read;
+  };
+}
+
+TEST(ControllerTest, SearchMatchesReferenceAlgorithm) {
+  Rig rig;
+  common::Rng rng(2024);
+  int searches = 0;
+  int climbed = 0;
+  for (int trial = 0; trial < 12; ++trial) {
+    workload::WorkloadFeatures ch = rig.heavy_ch;
+    ch.read_ratio = rng.uniform(0.05, 0.95);
+    for (double* f : {&ch.read_size_scv, &ch.write_size_scv, &ch.read_iat_scv,
+                      &ch.write_iat_scv, &ch.read_flow_speed, &ch.write_flow_speed,
+                      &ch.read_mean_size, &ch.write_mean_size}) {
+      *f *= rng.uniform(0.3, 1.7);
+    }
+    const double at_w1 = rig.tpm.predict(ch, 1.0).read_bytes_per_sec;
+    for (double scale : {0.05, 0.3, 0.6, 0.9, 0.999, 1.001, 2.0}) {
+      const double demanded = at_w1 * scale;
+      for (std::uint32_t max_w : {1u, 2u, 5u, 64u}) {
+        for (double tau : {0.10, 0.01}) {
+          for (int reject_at : {0, 1, 2, 3}) {
+            SrcParams params;
+            params.max_weight_ratio = max_w;
+            params.tau = tau;
+            int ctl_calls = 0;
+            int ref_calls = 0;
+            SrcController ctl(rig.tpm, rig.monitor, params);
+            if (reject_at > 0) ctl.set_prediction_hook(reject_kth_call(reject_at, ctl_calls));
+            const SearchOutcome want = reference_search(
+                rig.tpm, params, demanded, ch,
+                reject_at > 0 ? reject_kth_call(reject_at, ref_calls)
+                              : SrcController::PredictionHook{});
+            const std::uint32_t got = ctl.predict_weight_ratio(demanded, ch);
+            ASSERT_EQ(got, want.w) << "trial " << trial << " scale " << scale
+                                   << " max_w " << max_w << " tau " << tau
+                                   << " reject_at " << reject_at;
+            ASSERT_EQ(ctl.stats().rejected_predictions, want.rejected);
+            ASSERT_EQ(ctl_calls, ref_calls);
+            ++searches;
+            if (want.w > 1) ++climbed;
+          }
+        }
+      }
+    }
+  }
+  // The grid must exercise the climb, not only the w = 1 exits.
+  EXPECT_GT(climbed, searches / 10);
+}
+
+// A stand-in read/write model: both targets predict 1e9 * 2^-(min(w, p) - 1)
+// for plateau p, and every row either model evaluates is counted.
+class CountingModel final : public ml::Regressor {
+ public:
+  CountingModel(std::shared_ptr<std::uint64_t> rows, double plateau)
+      : rows_(std::move(rows)), plateau_(plateau) {}
+  void fit(const ml::Dataset&, std::size_t) override {}
+  double predict(std::span<const double> x) const override {
+    ++*rows_;
+    return 1e9 * std::exp2(1.0 - std::min(x.back(), plateau_));
+  }
+  std::unique_ptr<ml::Regressor> clone() const override {
+    return std::make_unique<CountingModel>(rows_, plateau_);
+  }
+  std::string name() const override { return "counting"; }
+
+ private:
+  std::shared_ptr<std::uint64_t> rows_;
+  double plateau_;
+};
+
+TEST(ControllerTest, SearchEvaluatesOneReadRowPerVisitedWeight) {
+  WorkloadMonitor monitor{10 * common::kMillisecond};
+  const workload::WorkloadFeatures ch{};
+  for (std::uint32_t plateau = 1; plateau <= 8; ++plateau) {
+    auto rows = std::make_shared<std::uint64_t>(0);
+    Tpm tpm{CountingModel(rows, plateau)};
+    tpm.fit(ml::Dataset(kTpmFeatureCount, 2));
+    SrcController ctl(tpm, monitor);
+    int calls = 0;
+    ctl.set_prediction_hook([&calls](double read) {
+      ++calls;
+      return read;
+    });
+
+    // Demand above the w = 1 prediction: the search stops at once.
+    EXPECT_EQ(ctl.predict_weight_ratio(2e9, ch), 1u);
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(*rows, 1u);
+
+    // Demand below it: predictions halve up to w = plateau and repeat at
+    // plateau + 1, where the relative change is 0 < tau. So the search
+    // visits w = 1..plateau + 1, one read row each.
+    calls = 0;
+    *rows = 0;
+    const std::uint32_t w = ctl.predict_weight_ratio(1e8, ch);
+    const std::uint32_t k = plateau + 1;
+    EXPECT_EQ(calls, static_cast<int>(k)) << "plateau " << plateau;
+    EXPECT_EQ(*rows, k) << "plateau " << plateau;
+    // 1e9 / 8 = 1.25e8 is the closest value to 1e8 on the halving path.
+    EXPECT_EQ(w, std::min(plateau, 4u));
+  }
 }
 
 }  // namespace

@@ -140,9 +140,9 @@ TEST(ForestTest, FlatInferenceMatchesPerTreeWalkBitExactly) {
   }
 }
 
-// predict_batch is the tree-major hot path behind Algorithm 1's weight
-// search and Dataset scoring: it must be bit-identical to N independent
-// predict() calls — same descents, same tree-order accumulation.
+// predict_batch is the tree-major path behind Dataset scoring: it must be
+// bit-identical to N independent predict() calls — same descents, same
+// tree-order accumulation.
 TEST(ForestTest, PredictBatchMatchesPerRowPredictBitExactly) {
   const Dataset train = friedman_like(500, 41);
   ForestConfig config;
